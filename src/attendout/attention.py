@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ptree
 from .numkernel import (
     NEG_INF,
     ContractViolation,
@@ -89,8 +90,9 @@ class MaskMatrix:
 
 
 @dataclass
-class AttentionParams:
-    """Projections of one attention layer; all four are d_model x d_model."""
+class AttentionParams(ptree.ParamTree):
+    """Projections of one attention layer; all four are d_model x d_model.
+    Gradients of attn_backward come back in the same class."""
 
     w_q: np.ndarray
     w_k: np.ndarray
@@ -107,6 +109,7 @@ class AttentionParams:
             raise ShapeError(
                 f"d_model={d} not divisible by num_heads={self.num_heads}"
             )
+        super().__post_init__()
 
     @property
     def d_model(self) -> int:
@@ -138,14 +141,6 @@ class AttentionCache:
     fallback_rows: np.ndarray | None = None
     # ALL_DROPPED mode
     v_full: np.ndarray | None = None
-
-
-@dataclass
-class AttentionGrads:
-    w_q: np.ndarray
-    w_k: np.ndarray
-    w_v: np.ndarray
-    w_o: np.ndarray
 
 
 def _split_heads(m: np.ndarray, num_heads: int) -> np.ndarray:
@@ -283,13 +278,14 @@ def attn_forward(x: np.ndarray, params: AttentionParams,
 
 
 def attn_backward(cache: AttentionCache, dy: np.ndarray,
-                  dscores_extra: np.ndarray | None = None) -> tuple[np.ndarray, AttentionGrads]:
+                  dscores_extra: np.ndarray | None = None) -> tuple[np.ndarray, AttentionParams]:
     """Reverse-mode pass matching a prior attn_forward.
 
     Mask entries are constants: no gradient flows through dropped units.
     dscores_extra, if given, is an extra gradient injected directly on the
     pre-softmax score matrix (single-head layers only); the mask generator
-    uses this to differentiate its action log-probabilities.
+    uses this to differentiate its action log-probabilities. Returns
+    (dx, parameter gradients shaped like the params).
     """
     dy = np.asarray(dy, dtype=np.float64)
     params = cache.params
@@ -297,23 +293,23 @@ def attn_backward(cache: AttentionCache, dy: np.ndarray,
     if dy.shape != (length, d):
         raise ShapeError(f"dy shape {dy.shape} does not match output {(length, d)}")
 
+    grads = ptree.zeros_like(params)
     if cache.mode is MaskMode.ALL_DROPPED:
         if dscores_extra is not None:
             raise ContractViolation("no score matrix exists on the all-dropped path")
         dpre = dy @ params.w_o.T
-        dw_o = cache.pre.T @ dy
+        grads.w_o[...] = cache.pre.T @ dy
         lv = length if cache.valid_len is None else cache.valid_len
         dmean = dpre.sum(axis=0)
         dv = np.zeros_like(cache.v_full)
         dv[:lv] = dmean / lv
-        dw_v = cache.x.T @ dv
+        grads.w_v[...] = cache.x.T @ dv
         dx = dv @ params.w_v.T
-        zeros = np.zeros_like(params.w_q)
-        return dx, AttentionGrads(zeros, zeros.copy(), dw_v, dw_o)
+        return dx, grads
 
     num_heads, d_k = params.num_heads, params.d_k
     dpre = dy @ params.w_o.T
-    dw_o = cache.pre.T @ dy
+    grads.w_o[...] = cache.pre.T @ dy
     dout_h = _split_heads(dpre, num_heads)
 
     attn_used = cache.attn_used if cache.attn_used is not None else cache.attn
@@ -342,8 +338,8 @@ def attn_backward(cache: AttentionCache, dy: np.ndarray,
     dq = _merge_heads(dqh)
     dk = _merge_heads(dkh)
     dv = _merge_heads(dvh)
-    dw_q = cache.x.T @ dq
-    dw_k = cache.x.T @ dk
-    dw_v = cache.x.T @ dv
+    grads.w_q[...] = cache.x.T @ dq
+    grads.w_k[...] = cache.x.T @ dk
+    grads.w_v[...] = cache.x.T @ dv
     dx = dq @ params.w_q.T + dk @ params.w_k.T + dv @ params.w_v.T
-    return dx, AttentionGrads(dw_q, dw_k, dw_v, dw_o)
+    return dx, grads

@@ -53,18 +53,27 @@ def _max_rel_err(analytic: np.ndarray, reference: np.ndarray) -> float:
     return float((np.abs(analytic - reference) / denom).max())
 
 
-def _per_tensor_errors(tree, analytic_flat, fd_flat, corrupt: str | None):
-    """Split flat comparisons back into per-tensor worst errors."""
+def _per_tensor_errors(grads, fd_flat, corrupt: str | None):
+    """Worst error per named tensor of the analytic gradient tree."""
+    fd = ptree.zeros_like(grads)
+    ptree.set_flat(fd, fd_flat)
     out = []
-    offset = 0
-    for name, arr in ptree.iter_arrays(tree):
-        n = arr.size
-        seg_an = analytic_flat[offset:offset + n].copy()
+    for (name, an), (_, ref) in zip(ptree.iter_arrays(grads), ptree.iter_arrays(fd)):
         if corrupt == name:
-            seg_an = seg_an + 0.5 * (1.0 + np.abs(seg_an))
-        out.append((name, _max_rel_err(seg_an, fd_flat[offset:offset + n])))
-        offset += n
+            an = an + 0.5 * (1.0 + np.abs(an))
+        out.append((name, _max_rel_err(an, ref)))
     return out
+
+
+def _tree_fd(params, objective, h: float) -> np.ndarray:
+    """Central differences of objective(tree) over every parameter."""
+    probe = ptree.copy_tree(params)
+
+    def flat_objective(vec):
+        ptree.set_flat(probe, vec)
+        return objective(probe)
+
+    return finite_diff_grad(flat_objective, ptree.flatten(params), h)
 
 
 def gradcheck_attention(seed: int = 0, h: float = 1e-5,
@@ -92,17 +101,8 @@ def gradcheck_attention(seed: int = 0, h: float = 1e-5,
         dy = r.normal_array((length, d)) * 0.5
         _, cache = attn_forward(x, params, mask)
         _, grads = attn_backward(cache, dy)
-
-        probe = ptree.copy_tree(params)
-
-        def objective(vec):
-            ptree.set_flat(probe, vec)
-            y, _ = attn_forward(x, probe, mask)
-            return float((dy * y).sum())
-
-        fd = finite_diff_grad(objective, ptree.flatten(params), h)
-        analytic = ptree.flatten(grads)
-        for name, err in _per_tensor_errors(params, analytic, fd, corrupt):
+        fd = _tree_fd(params, lambda p: float((dy * attn_forward(x, p, mask)[0]).sum()), h)
+        for name, err in _per_tensor_errors(grads, fd, corrupt):
             reports.append(CheckReport(f"attention[{mode_name}]", name, err,
                                        GRAD_TOLERANCE, time.time() - t0))
     return reports
@@ -123,20 +123,10 @@ def gradcheck_task_model(seed: int = 0, h: float = 1e-5,
     logits, cache = task_forward(params, tokens)
     _, dlogits = cross_entropy_logits(logits, label)
     grads = task_backward(cache, dlogits)
-
-    probe = ptree.copy_tree(params)
-
-    def objective(vec):
-        ptree.set_flat(probe, vec)
-        lg, _ = task_forward(probe, tokens)
-        loss, _ = cross_entropy_logits(lg, label)
-        return loss
-
-    fd = finite_diff_grad(objective, ptree.flatten(params), h)
-    analytic = ptree.flatten(grads)
+    fd = _tree_fd(params, lambda p: cross_entropy_logits(task_forward(p, tokens)[0], label)[0], h)
     elapsed = time.time() - t0
     return [CheckReport("task_model", name, err, GRAD_TOLERANCE, elapsed)
-            for name, err in _per_tensor_errors(params, analytic, fd, corrupt)]
+            for name, err in _per_tensor_errors(grads, fd, corrupt)]
 
 
 def gradcheck_generator(seed: int = 0, h: float = 1e-5,
@@ -148,18 +138,10 @@ def gradcheck_generator(seed: int = 0, h: float = 1e-5,
     tokens = np.array([1 + rng.randint(8) for _ in range(3)])
     decision = gnet_sample_masks(gparams, tokens, 2, rng)
     grads = gnet_logprob_backward(gparams, tokens, decision)
-
-    probe = ptree.copy_tree(gparams)
-
-    def objective(vec):
-        ptree.set_flat(probe, vec)
-        return decision_logprob(probe, tokens, decision)
-
-    fd = finite_diff_grad(objective, ptree.flatten(gparams), h)
-    analytic = ptree.flatten(grads)
+    fd = _tree_fd(gparams, lambda p: decision_logprob(p, tokens, decision), h)
     elapsed = time.time() - t0
     return [CheckReport("generator_logprob", name, err, GRAD_TOLERANCE, elapsed)
-            for name, err in _per_tensor_errors(gparams, analytic, fd, corrupt)]
+            for name, err in _per_tensor_errors(grads, fd, corrupt)]
 
 
 def check_reinforce_enumeration(seed: int = 0, h: float = 3e-6,
@@ -185,18 +167,10 @@ def check_reinforce_enumeration(seed: int = 0, h: float = 3e-6,
         return table[idx]
 
     _, grads = expected_reward_oracle(gparams, tokens, 1, reward_fn)
-    probe = ptree.copy_tree(gparams)
-
-    def objective(vec):
-        ptree.set_flat(probe, vec)
-        value, _ = expected_reward_oracle(probe, tokens, 1, reward_fn)
-        return value
-
-    fd = finite_diff_grad(objective, ptree.flatten(gparams), h) / norm
-    analytic = ptree.flatten(grads)
+    fd = _tree_fd(gparams, lambda p: expected_reward_oracle(p, tokens, 1, reward_fn)[0], h) / norm
     elapsed = time.time() - t0
     return [CheckReport("reinforce_enumeration", name, err, ORACLE_TOLERANCE, elapsed)
-            for name, err in _per_tensor_errors(gparams, analytic, fd, corrupt)]
+            for name, err in _per_tensor_errors(grads, fd, corrupt)]
 
 
 def run_all_checks(seed: int = 0, corrupt: str | None = None) -> list[CheckReport]:

@@ -36,7 +36,7 @@ from .config import (
     load_config,
 )
 from .models import save_checkpoint
-from .numkernel import ConfigError, ContractViolation
+from .numkernel import ConfigError, ContractViolation, DivergenceError, ShapeError
 from .regularizers import load_schedule_file
 from .trainer import TrainResult, train
 
@@ -49,6 +49,13 @@ def _out_dir(arg: str | None, default_name: str) -> Path:
         return root / "runs" / default_name
     path = Path(arg)
     return path if path.is_absolute() else root / path
+
+
+def _strict_json(obj) -> str:
+    """JSON text with every non-finite float (the accuracy on an empty dev
+    split) written as null; a bare NaN would make the file invalid JSON."""
+    finite = json.loads(json.dumps(obj), parse_constant=lambda _: None)
+    return json.dumps(finite, indent=2, allow_nan=False) + "\n"
 
 
 def _write_manifest(out: Path, cfg: TrainConfig, config_path: str, argv_seed) -> None:
@@ -95,7 +102,7 @@ def _write_result(out: Path, result: TrainResult) -> None:
     }
     payload.update({k: v for k, v in result.extra.items()
                     if isinstance(v, (int, float, bool, str))})
-    (out / "result.json").write_text(json.dumps(payload, indent=2) + "\n")
+    (out / "result.json").write_text(_strict_json(payload))
 
 
 def _write_checkpoints(out: Path, result: TrainResult) -> None:
@@ -237,7 +244,7 @@ def cmd_compare(args) -> int:
                 mean_final = np.mean(np.array(finals), axis=0)
                 print("  final per-layer drop probability: "
                       + ", ".join(f"layer {i}: {p:.3f}" for i, p in enumerate(mean_final)))
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    (out / "summary.json").write_text(_strict_json(summary))
     print(f"summary written to {out / 'summary.json'}")
     return 0
 
@@ -285,7 +292,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ContractViolation, FileNotFoundError) as exc:
+    except (ConfigError, ContractViolation, DivergenceError, ShapeError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -45,7 +45,9 @@ LN_EPS = 1e-5
 
 
 # ---------------------------------------------------------------------------
-# Parameter containers
+# Parameter containers: ptree.ParamTree dataclasses whose named arrays are
+# views into one float64 buffer per model (`params.flat`, in field order;
+# each layer and attention group owns a slice). Gradients reuse the classes.
 # ---------------------------------------------------------------------------
 
 
@@ -70,7 +72,7 @@ class ModelConfig:
 
 
 @dataclass
-class LayerParams:
+class LayerParams(ptree.ParamTree):
     attn: AttentionParams
     ff_w1: np.ndarray
     ff_b1: np.ndarray
@@ -83,7 +85,7 @@ class LayerParams:
 
 
 @dataclass
-class TaskModelParams:
+class TaskModelParams(ptree.ParamTree):
     token_embedding: np.ndarray      # V x d_model
     position_embedding: np.ndarray   # max_len x d_model
     layers: list[LayerParams]
@@ -104,7 +106,7 @@ class GeneratorConfig:
 
 
 @dataclass
-class GeneratorParams:
+class GeneratorParams(ptree.ParamTree):
     """One-head attention policy; a single parameter group serves every
     layer decision and there are no feed-forward weights."""
 
@@ -117,6 +119,7 @@ class GeneratorParams:
             raise ShapeError("generator attention must be single-head")
         if self.tau <= 0:
             raise ValueError(f"temperature must be positive, got {self.tau}")
+        super().__post_init__()
 
 
 @dataclass
@@ -319,8 +322,8 @@ def task_forward(params: TaskModelParams, tokens,
 
 def task_backward(cache: TaskCache, dlogits: np.ndarray) -> TaskModelParams:
     """Gradients of <dlogits, logits> for every parameter; returns a tree
-    shaped like the parameters. Dropped attention units and skipped blocks
-    contribute nothing."""
+    shaped like the parameters, on a fresh zeroed buffer. Dropped attention
+    units and skipped blocks contribute nothing."""
     params = cache.params
     dlogits = np.asarray(dlogits, dtype=np.float64)
     if dlogits.shape != (1, params.config.num_classes):
@@ -354,10 +357,7 @@ def task_backward(cache: TaskCache, dlogits: np.ndarray) -> TaskModelParams:
         glayer.ln1_gain += dg1
         glayer.ln1_bias += db1
         da, attn_grads = attn_backward(block.attn_cache, dr1)
-        glayer.attn.w_q += attn_grads.w_q
-        glayer.attn.w_k += attn_grads.w_k
-        glayer.attn.w_v += attn_grads.w_v
-        glayer.attn.w_o += attn_grads.w_o
+        glayer.attn.flat += attn_grads.flat
         dx = dr1 + da
 
     np.add.at(grads.token_embedding, cache.tokens, dx)
@@ -412,16 +412,20 @@ def gnet_sample_masks(gparams: GeneratorParams, tokens, num_layers: int,
     )
 
 
+def _normalized_logprob(scores, masks, tau: float) -> float:
+    total = 0.0
+    for s, bits in zip(scores, masks):
+        logits = s / tau
+        total += float(log_sigmoid(np.where(bits != 0, logits, -logits)).sum())
+    length = scores[0].shape[0]
+    return total / (len(scores) * length * length)
+
+
 def decision_logprob(gparams: GeneratorParams, tokens, decision: MaskDecision) -> float:
     """Recompute the normalized log probability of a decision's bits under
     the current parameters."""
-    scores, _, tokens = gnet_scores(gparams, tokens, len(decision.masks))
-    length = tokens.size
-    total = 0.0
-    for s, bits in zip(scores, decision.masks):
-        logits = s / gparams.tau
-        total += float(log_sigmoid(np.where(bits != 0, logits, -logits)).sum())
-    return total / (len(scores) * length * length)
+    scores, _, _ = gnet_scores(gparams, tokens, len(decision.masks))
+    return _normalized_logprob(scores, decision.masks, gparams.tau)
 
 
 def _logprob_score_grads(scores, masks, tau: float):
@@ -437,22 +441,20 @@ def _logprob_score_grads(scores, masks, tau: float):
     return out
 
 
-def gnet_backward_from_score_grads(gparams: GeneratorParams, caches,
-                                   dscores_list) -> tuple[GeneratorParams, np.ndarray]:
-    """Reverse through the unrolled shared-attention stack given per-layer
-    gradients on the pre-softmax scores; returns (parameter grads, gradient
-    on the embedded input). The backward map is linear in the injected
-    score gradients, which the enumeration oracle exploits."""
+def gnet_backward_from_score_grads(gparams: GeneratorParams, tokens, caches,
+                                   dscores_list) -> GeneratorParams:
+    """Reverse through the unrolled shared-attention stack, and into the
+    embeddings of tokens, given per-layer gradients on the pre-softmax
+    scores; returns the parameter grads. The backward map is linear in the
+    injected score gradients, which the enumeration oracle exploits."""
     tokens_len, dim = caches[0].x.shape
     grads = ptree.zeros_like(gparams)
     dh = np.zeros((tokens_len, dim))
     for cache, ds in zip(reversed(caches), reversed(dscores_list)):
         dh, attn_grads = attn_backward(cache, dh, dscores_extra=ds)
-        grads.attn.w_q += attn_grads.w_q
-        grads.attn.w_k += attn_grads.w_k
-        grads.attn.w_v += attn_grads.w_v
-        grads.attn.w_o += attn_grads.w_o
-    return grads, dh
+        grads.attn.flat += attn_grads.flat
+    np.add.at(grads.token_embedding, tokens, dh)
+    return grads
 
 
 def gnet_logprob_backward(gparams: GeneratorParams, tokens,
@@ -461,21 +463,14 @@ def gnet_logprob_backward(gparams: GeneratorParams, tokens,
     generator parameters. Raises if the decision's stored logprob no longer
     matches these parameters (stale decision)."""
     scores, caches, tokens = gnet_scores(gparams, tokens, len(decision.masks))
-    length = tokens.size
-    total = 0.0
-    for s, bits in zip(scores, decision.masks):
-        logits = s / gparams.tau
-        total += float(log_sigmoid(np.where(bits != 0, logits, -logits)).sum())
-    recomputed = total / (len(scores) * length * length)
+    recomputed = _normalized_logprob(scores, decision.masks, gparams.tau)
     if abs(recomputed - decision.logprob) > 1e-9:
         raise ContractViolation(
             f"stale decision: stored logprob {decision.logprob}, "
             f"recomputed {recomputed}"
         )
     dscores = _logprob_score_grads(scores, decision.masks, gparams.tau)
-    grads, dh = gnet_backward_from_score_grads(gparams, caches, dscores)
-    np.add.at(grads.token_embedding, tokens, dh)
-    return grads
+    return gnet_backward_from_score_grads(gparams, tokens, caches, dscores)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +482,6 @@ _CHECKPOINT_VERSION = 1
 
 def save_checkpoint(path, params) -> None:
     """Write all parameter tensors with shape headers; round-trips bit-exact."""
-    arrays = {name: arr for name, arr in ptree.iter_arrays(params)}
     if isinstance(params, TaskModelParams):
         kind = "task"
         meta = vars(params.config).copy()
@@ -498,19 +492,34 @@ def save_checkpoint(path, params) -> None:
     else:
         raise TypeError(f"cannot checkpoint {type(params)}")
     header = json.dumps({"version": _CHECKPOINT_VERSION, "kind": kind, "meta": meta})
-    np.savez(path, __header__=np.frombuffer(header.encode(), dtype=np.uint8), **arrays)
+    np.savez(path, __header__=np.frombuffer(header.encode(), dtype=np.uint8),
+             **dict(ptree.iter_arrays(params)))
 
 
 def load_checkpoint(path):
+    """Read a save_checkpoint file; raises ContractViolation unless the kind
+    is known and the tensors are exactly the model's names, shapes and
+    float64."""
     with np.load(path) as data:
         header = json.loads(bytes(data["__header__"]).decode())
         if header["version"] != _CHECKPOINT_VERSION:
             raise ContractViolation(f"unsupported checkpoint version {header['version']}")
-        meta = header["meta"]
-        if header["kind"] == "task":
+        kind, meta = header["kind"], header["meta"]
+        if kind == "task":
             params = init_task_model(ModelConfig(**meta), seed=0)
-        else:
+        elif kind == "generator":
             params = init_generator(GeneratorConfig(**meta), seed=0)
-        for name, arr in ptree.iter_arrays(params):
-            arr[...] = data[name]
+        else:
+            raise ContractViolation(f"unknown checkpoint kind {kind!r}")
+        expected = dict(ptree.iter_arrays(params))
+        stored = set(data.files) - {"__header__"}
+        if stored != set(expected):
+            raise ContractViolation(f"checkpoint lacks {sorted(set(expected) - stored)}, "
+                                    f"has unexpected {sorted(stored - set(expected))}")
+        for name, arr in expected.items():
+            value = data[name]
+            if value.dtype != np.float64 or value.shape != arr.shape:
+                raise ContractViolation(f"checkpoint tensor {name} is {value.dtype}"
+                                        f"{value.shape}, expected float64{arr.shape}")
+            arr[...] = value
     return params

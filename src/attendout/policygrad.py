@@ -152,6 +152,4 @@ def expected_reward_oracle(gparams: GeneratorParams, tokens, num_layers: int,
         d_units[i * length * length:(i + 1) * length * length].reshape(length, length)
         for i in range(num_layers)
     ]
-    grads, dh = gnet_backward_from_score_grads(gparams, caches, dscores)
-    np.add.at(grads.token_embedding, tokens, dh)
-    return expected, grads
+    return expected, gnet_backward_from_score_grads(gparams, tokens, caches, dscores)

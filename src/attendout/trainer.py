@@ -17,9 +17,8 @@ the same config and seed produce byte-identical metrics.
 
 from __future__ import annotations
 
-import copy
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -76,48 +75,60 @@ from .regularizers import (
 
 @dataclass
 class OptimizerState:
+    """Hyperparameters plus whole-model moment vectors made on first use:
+    m is the SGD velocity or Adam's first moment, v Adam's second moment."""
+
     algo: str = "sgd"
     momentum: float = 0.0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    slots: dict = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
 def optimizer_step(params, grads, lr: float, state: OptimizerState):
-    """One in-place SGD/momentum/Adam step; returns (params, state)."""
+    """One in-place SGD/momentum/Adam step over the whole parameter buffer;
+    returns (params, state)."""
     bad = ptree.first_nonfinite(grads)
     if bad is not None:
         raise DivergenceError(f"non-finite gradient in {bad}")
     state.t += 1
-    for (name, p), (_, g) in zip(ptree.iter_arrays(params), ptree.iter_arrays(grads)):
-        if state.algo == "sgd":
-            if state.momentum > 0.0:
-                v = state.slots.setdefault(name, np.zeros_like(p))
-                v *= state.momentum
-                v += g
-                p -= lr * v
-            else:
-                p -= lr * g
-        elif state.algo == "adam":
-            m = state.slots.setdefault(name + ".m", np.zeros_like(p))
-            v = state.slots.setdefault(name + ".v", np.zeros_like(p))
-            m *= state.beta1
-            m += (1 - state.beta1) * g
-            v *= state.beta2
-            v += (1 - state.beta2) * g * g
-            m_hat = m / (1 - state.beta1 ** state.t)
-            v_hat = v / (1 - state.beta2 ** state.t)
-            p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    p, g = params.flat, grads.flat
+    if state.algo == "sgd":
+        if state.momentum > 0.0:
+            if state.m is None:
+                state.m = np.zeros_like(p)
+            state.m *= state.momentum
+            state.m += g
+            p -= lr * state.m
         else:
-            raise ConfigError(f"unknown optimizer {state.algo!r}")
+            p -= lr * g
+    elif state.algo == "adam":
+        if state.m is None:
+            state.m, state.v = np.zeros_like(p), np.zeros_like(p)
+        m, v = state.m, state.v
+        m *= state.beta1
+        m += (1 - state.beta1) * g
+        v *= state.beta2
+        v += (1 - state.beta2) * g * g
+        m_hat = m / (1 - state.beta1 ** state.t)
+        v_hat = v / (1 - state.beta2 ** state.t)
+        # p -= lr * m_hat / (sqrt(v_hat) + eps), in place: two temporaries
+        np.sqrt(v_hat, out=v_hat)
+        v_hat += state.eps
+        m_hat *= lr
+        m_hat /= v_hat
+        p -= m_hat
+    else:
+        raise ConfigError(f"unknown optimizer {state.algo!r}")
     return params, state
 
 
 def _copy_opt_state(state: OptimizerState) -> OptimizerState:
-    return OptimizerState(state.algo, state.momentum, state.beta1, state.beta2,
-                          state.eps, state.t, copy.deepcopy(state.slots))
+    moments = {k: getattr(state, k).copy() for k in ("m", "v") if getattr(state, k) is not None}
+    return replace(state, **moments)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +204,8 @@ def evaluate(params: TaskModelParams, samples) -> float:
 def sync_models(defender: TaskModelParams, attacker: TaskModelParams,
                 eval_defender: float, eval_attacker: float, rng: RngState):
     """Collapse both task models onto one source, sampled with probability
-    softmax(eval scores); returns (defender', attacker', source_tag)."""
+    softmax(eval scores); returns (defender', attacker', source_tag), where
+    the two models are independent copies of the source."""
     if vars(defender.config) != vars(attacker.config):
         raise ContractViolation("defender and attacker are structurally different")
     p_attacker = float(sigmoid(eval_attacker - eval_defender))
@@ -216,13 +228,9 @@ def _update_on_batch(params, batch, lr, opt_state, mask_for_item=None):
         caches.append(cache)
         labels.append(label)
     loss, dlogits = cross_entropy_logits(np.stack(logits_rows), labels)
-    grads = None
-    for i, cache in enumerate(caches):
-        g = task_backward(cache, dlogits[i:i + 1])
-        if grads is None:
-            grads = g
-        else:
-            ptree.add_scaled(grads, g, 1.0)
+    grads = task_backward(caches[0], dlogits[0:1])
+    for i in range(1, len(caches)):
+        ptree.add_scaled(grads, task_backward(caches[i], dlogits[i:i + 1]), 1.0)
     optimizer_step(params, grads, lr, opt_state)
     return loss, _batch_hash(batch)
 
@@ -341,10 +349,9 @@ def dropout_step(game: AttendOutGame, stream: BatchStream, cfg: TrainConfig):
         })
 
         game.ledger.release()
-        d_new, a_new, source = sync_models(
+        game.defender, game.attacker, source = sync_models(
             game.defender, game.attacker, eval_d, eval_a, game.sync_rng
         )
-        game.defender, game.attacker = d_new, a_new
         src_state = game.opt_attacker if source == "attacker" else game.opt_defender
         game.opt_defender = _copy_opt_state(src_state)
         game.opt_attacker = _copy_opt_state(src_state)

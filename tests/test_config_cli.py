@@ -4,9 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from attendout import cli
 from attendout.cli import main
 from attendout.config import parse_config_text
-from attendout.numkernel import ConfigError
+from attendout.numkernel import ConfigError, DivergenceError, ShapeError
 
 MINIMAL = """
 [run]
@@ -295,3 +296,43 @@ def test_compare_rejects_unfair_configs(tmp_path):
     b = _write(tmp_path, "b.ini", MINIMAL.replace("lr = 0.003", "lr = 0.01"))
     assert main(["compare", a, b, "--seeds", "1",
                  "--out", str(tmp_path / "cmp")]) == 2
+
+
+# ---------------------------------------------------------------------------
+# strict JSON artifacts and exit codes
+# ---------------------------------------------------------------------------
+
+
+def _strict_load(path):
+    """json.loads that refuses the NaN / Infinity extensions."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
+NO_DEV = MINIMAL.replace("train_fraction = 0.6", "train_fraction = 0.8") \
+                .replace("dev_fraction = 0.2", "dev_fraction = 0.0")
+
+
+def test_empty_dev_split_writes_null_accuracy(tmp_path):
+    cfg_path = _write(tmp_path, "nodev.ini", NO_DEV)
+    out = tmp_path / "out"
+    assert main(["train", "--config", cfg_path, "--out", str(out)]) == 0
+    assert _strict_load(out / "result.json")["dev_accuracy"] is None
+    b = _write(tmp_path, "nodev_b.ini", NO_DEV)
+    cmp_out = tmp_path / "cmp"
+    assert main(["compare", cfg_path, b, "--seeds", "1", "--out", str(cmp_out)]) == 0
+    summary = _strict_load(cmp_out / "summary.json")
+    assert summary[0]["mean_dev_accuracy"] is None
+    assert summary[0]["runs"][0]["dev_accuracy"] is None
+
+
+@pytest.mark.parametrize("exc", [DivergenceError("non-finite gradient in head_w"),
+                                 ShapeError("sequence length 9 exceeds max_len 8")])
+def test_training_errors_exit_two_with_message(tmp_path, monkeypatch, capsys, exc):
+    def failing_train(cfg):
+        raise exc
+    monkeypatch.setattr(cli, "train", failing_train)
+    cfg_path = _write(tmp_path, "run.ini", MINIMAL)
+    assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"error: {exc}\n"

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -354,3 +355,64 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     loaded_gen = load_checkpoint(gen_path)
     assert ptree.trees_equal(gen, loaded_gen)
     assert loaded_gen.tau == gen.tau
+
+
+def _write_v1(path, kind, meta, arrays):
+    """A version-1 checkpoint written without save_checkpoint: a JSON header
+    plus one float64 tensor per parameter name."""
+    header = json.dumps({"version": 1, "kind": kind, "meta": meta})
+    np.savez(path, __header__=np.frombuffer(header.encode(), dtype=np.uint8), **arrays)
+
+
+def _arrays(params):
+    return {name: arr.copy() for name, arr in ptree.iter_arrays(params)}
+
+
+def test_checkpoint_v1_file_loads_bit_exact(tmp_path):
+    task = init_task_model(SMALL, 21)
+    _write_v1(tmp_path / "t.npz", "task", vars(SMALL), _arrays(task))
+    loaded = load_checkpoint(tmp_path / "t.npz")
+    assert ptree.trees_equal(task, loaded)
+    for _, arr in ptree.iter_arrays(loaded):
+        assert np.shares_memory(arr, loaded.flat)
+
+
+def test_checkpoint_rejects_unknown_kind(tmp_path):
+    gen = init_generator(GEN, 3)
+    meta = {"vocab_size": GEN.vocab_size, "dim": GEN.dim, "tau": GEN.tau}
+    _write_v1(tmp_path / "g.npz", "policy", meta, _arrays(gen))
+    with pytest.raises(nk.ContractViolation, match="kind"):
+        load_checkpoint(tmp_path / "g.npz")
+
+
+def test_checkpoint_rejects_missing_tensor(tmp_path):
+    arrays = _arrays(init_task_model(SMALL, 3))
+    del arrays["layers.1.ff_b2"]
+    _write_v1(tmp_path / "t.npz", "task", vars(SMALL), arrays)
+    with pytest.raises(nk.ContractViolation, match="layers.1.ff_b2"):
+        load_checkpoint(tmp_path / "t.npz")
+
+
+def test_checkpoint_rejects_unexpected_tensor(tmp_path):
+    arrays = _arrays(init_task_model(SMALL, 3))
+    arrays["layers.2.ff_b2"] = np.zeros(SMALL.d_model)
+    _write_v1(tmp_path / "t.npz", "task", vars(SMALL), arrays)
+    with pytest.raises(nk.ContractViolation, match="layers.2.ff_b2"):
+        load_checkpoint(tmp_path / "t.npz")
+
+
+def test_checkpoint_rejects_broadcastable_shape(tmp_path):
+    arrays = _arrays(init_task_model(SMALL, 3))
+    # a (d,) row would silently broadcast into the (V, d) embedding
+    arrays["token_embedding"] = arrays["token_embedding"][0].copy()
+    _write_v1(tmp_path / "t.npz", "task", vars(SMALL), arrays)
+    with pytest.raises(nk.ContractViolation, match="token_embedding"):
+        load_checkpoint(tmp_path / "t.npz")
+
+
+def test_checkpoint_rejects_non_float64(tmp_path):
+    arrays = _arrays(init_task_model(SMALL, 3))
+    arrays["head_w"] = arrays["head_w"].astype(np.float32)
+    _write_v1(tmp_path / "t.npz", "task", vars(SMALL), arrays)
+    with pytest.raises(nk.ContractViolation, match="head_w"):
+        load_checkpoint(tmp_path / "t.npz")
