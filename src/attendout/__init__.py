@@ -44,7 +44,6 @@ from .numkernel import (
     cross_entropy_logits,
     finite_diff_grad,
     gumbel_binary_sample,
-    matmul,
     sample_bernoulli,
     softmax_rows,
 )

@@ -3,9 +3,9 @@ dropout modes on the attention matrix.
 
 Modes:
   NONE        plain scaled dot-product attention.
-  WEIGHTS     a binary mask multiplies the post-softmax weights. No
-              inverted-dropout rescale by default; kept rows simply sum to
-              less than one.
+  WEIGHTS     a binary mask multiplies the post-softmax weights. Kept rows
+              simply sum to less than one unless the mask carries an
+              inverted-dropout rescale, applied after the mask.
   SCORES      an additive {0, NEG_INF} mask hits the pre-softmax scores, so
               the surviving weights renormalize to one.
   ALL_DROPPED every unit removed. The attention matrix degenerates to the
@@ -13,8 +13,9 @@ Modes:
               column mean of V, and the query/key projections plus their dot
               product are skipped entirely.
 
-One mask is shared across all heads of a layer: the decision space is the
-L x L attention matrix of the layer, not per head.
+A MaskMatrix is the only way a mask reaches a layer: one is shared across
+all heads of a layer, so the decision space is the L x L attention matrix
+of the layer, not per head.
 """
 
 from __future__ import annotations
@@ -25,15 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ptree
-from .numkernel import (
-    NEG_INF,
-    ContractViolation,
-    ShapeError,
-    matmul,
-    softmax_rows,
-)
-
-_DROP_SENTINEL_CUTOFF = -1e29
+from .numkernel import NEG_INF, ContractViolation, ShapeError, softmax_rows
 
 
 class MaskMode(enum.Enum):
@@ -49,11 +42,13 @@ class MaskMatrix:
 
     entries is L x L and binary {0,1} in WEIGHTS mode (1 = keep), or
     {0, NEG_INF} in SCORES mode (NEG_INF = dropped). NONE and ALL_DROPPED
-    carry no entries.
+    carry no entries. rescale, WEIGHTS mode only, multiplies the masked
+    weights (inverted dropout).
     """
 
     mode: MaskMode
     entries: np.ndarray | None = None
+    rescale: float | None = None
 
     @staticmethod
     def none() -> "MaskMatrix":
@@ -64,8 +59,8 @@ class MaskMatrix:
         return MaskMatrix(MaskMode.ALL_DROPPED)
 
     @staticmethod
-    def weights(keep: np.ndarray) -> "MaskMatrix":
-        return MaskMatrix(MaskMode.WEIGHTS, np.asarray(keep, dtype=np.float64))
+    def weights(keep: np.ndarray, rescale: float | None = None) -> "MaskMatrix":
+        return MaskMatrix(MaskMode.WEIGHTS, np.asarray(keep, dtype=np.float64), rescale)
 
     @staticmethod
     def scores_from_drop_bits(bits: np.ndarray) -> "MaskMatrix":
@@ -124,11 +119,10 @@ class AttentionParams(ptree.ParamTree):
 class AttentionCache:
     """Forward intermediates needed by attn_backward."""
 
-    mode: MaskMode
+    mask: MaskMatrix
     params: AttentionParams
     x: np.ndarray
     pre: np.ndarray                      # L x d_model, input to w_o
-    valid_len: int | None = None
     # regular modes
     qh: np.ndarray | None = None         # (H, L, d_k)
     kh: np.ndarray | None = None
@@ -136,11 +130,6 @@ class AttentionCache:
     scores: np.ndarray | None = None     # (H, L, L), as fed to softmax
     attn: np.ndarray | None = None       # (H, L, L), post-softmax
     attn_used: np.ndarray | None = None  # post-mask weights (WEIGHTS mode)
-    mask_entries: np.ndarray | None = None
-    weights_rescale: float | None = None
-    fallback_rows: np.ndarray | None = None
-    # ALL_DROPPED mode
-    v_full: np.ndarray | None = None
 
 
 def _split_heads(m: np.ndarray, num_heads: int) -> np.ndarray:
@@ -176,8 +165,7 @@ def _validate_mask(mask: MaskMatrix, length: int) -> None:
             )
 
 
-def constant_attention(v: np.ndarray, params: AttentionParams | None = None,
-                       valid_len: int | None = None) -> np.ndarray:
+def constant_attention(v: np.ndarray, params: AttentionParams | None = None) -> np.ndarray:
     """Attention output when every unit is dropped.
 
     The softmax of an all-dropped score matrix is the constant 1/L, so each
@@ -188,92 +176,52 @@ def constant_attention(v: np.ndarray, params: AttentionParams | None = None,
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 2 or v.shape[0] < 1:
         raise ShapeError(f"value matrix must be 2-D and nonempty, got {v.shape}")
-    length = v.shape[0] if valid_len is None else valid_len
-    if not 1 <= length <= v.shape[0]:
-        raise ShapeError(f"valid_len {valid_len} out of range for L={v.shape[0]}")
-    mean = v[:length].mean(axis=0)
-    pre = np.tile(mean, (v.shape[0], 1))
+    pre = np.tile(v.mean(axis=0), (v.shape[0], 1))
     if params is None:
         return pre
-    return matmul(pre, params.w_o)
+    return pre @ params.w_o
 
 
 def attn_forward(x: np.ndarray, params: AttentionParams,
-                 mask: MaskMatrix | None = None,
-                 valid_len: int | None = None,
-                 weights_rescale: float | None = None) -> tuple[np.ndarray, AttentionCache]:
-    """Run one attention layer under the given dropout mask.
-
-    valid_len marks the prefix of real (non padding) positions: padding
-    columns get an additive NEG_INF composed with the mask before softmax.
-    A row left with no surviving score (only possible when a SCORES mask
-    combines with padding) falls back to constant uniform weights over the
-    valid positions, the same limit the all-dropped path takes.
-    """
+                 mask: MaskMatrix | None = None) -> tuple[np.ndarray, AttentionCache]:
+    """Run one attention layer under the given dropout mask (None = NONE)."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ShapeError(f"input must be L x d_model with L >= 1, got {x.shape}")
     length, d = x.shape
     if d != params.d_model:
         raise ShapeError(f"input width {d} != d_model {params.d_model}")
-    if valid_len is not None and not 1 <= valid_len <= length:
-        raise ShapeError(f"valid_len {valid_len} out of range for L={length}")
     mask = MaskMatrix.none() if mask is None else mask
     _validate_mask(mask, length)
 
     if mask.mode is MaskMode.ALL_DROPPED:
-        v = matmul(x, params.w_v)
-        pre = constant_attention(v, valid_len=valid_len)
-        y = matmul(pre, params.w_o)
-        cache = AttentionCache(mask.mode, params, x, pre, valid_len=valid_len, v_full=v)
-        return y, cache
+        v = x @ params.w_v
+        pre = constant_attention(v)
+        y = pre @ params.w_o
+        return y, AttentionCache(mask, params, x, pre)
 
     num_heads, d_k = params.num_heads, params.d_k
-    qh = _split_heads(matmul(x, params.w_q), num_heads)
-    kh = _split_heads(matmul(x, params.w_k), num_heads)
-    vh = _split_heads(matmul(x, params.w_v), num_heads)
+    qh = _split_heads(x @ params.w_q, num_heads)
+    kh = _split_heads(x @ params.w_k, num_heads)
+    vh = _split_heads(x @ params.w_v, num_heads)
     scores = qh @ kh.transpose(0, 2, 1) / np.sqrt(d_k)
-
-    additive = mask.entries if mask.mode is MaskMode.SCORES else None
-    if valid_len is not None and valid_len < length:
-        validity = np.zeros((length, length))
-        validity[:, valid_len:] = NEG_INF
-        additive = validity if additive is None else additive + validity
-
-    fallback_rows = None
-    if additive is not None:
-        scores = scores + additive[None, :, :]
-        row_dead = np.all(additive <= _DROP_SENTINEL_CUTOFF, axis=1)
-        if valid_len is not None and valid_len < length:
-            # padding columns never count as survivors
-            live = additive[:, :valid_len] > _DROP_SENTINEL_CUTOFF
-            row_dead = ~np.any(live, axis=1)
-        if np.any(row_dead):
-            fallback_rows = row_dead
-            lv = length if valid_len is None else valid_len
-            scores[:, row_dead, :] = 0.0
-            if lv < length:
-                scores[:, row_dead, lv:] = NEG_INF
+    if mask.mode is MaskMode.SCORES:
+        scores = scores + mask.entries[None, :, :]
 
     attn = softmax_rows(scores.reshape(num_heads * length, length)).reshape(
         num_heads, length, length
     )
 
-    attn_used = attn
+    attn_used = None
     if mask.mode is MaskMode.WEIGHTS:
         attn_used = attn * mask.entries[None, :, :]
-        if weights_rescale is not None:
-            attn_used = attn_used * weights_rescale
+        if mask.rescale is not None:
+            attn_used = attn_used * mask.rescale
 
-    pre = _merge_heads(attn_used @ vh)
-    y = matmul(pre, params.w_o)
-    cache = AttentionCache(
-        mask.mode, params, x, pre, valid_len=valid_len,
-        qh=qh, kh=kh, vh=vh, scores=scores, attn=attn,
-        attn_used=attn_used if mask.mode is MaskMode.WEIGHTS else None,
-        mask_entries=mask.entries, weights_rescale=weights_rescale,
-        fallback_rows=fallback_rows,
-    )
+    pre = _merge_heads((attn if attn_used is None else attn_used) @ vh)
+    y = pre @ params.w_o
+    cache = AttentionCache(mask, params, x, pre, qh=qh, kh=kh, vh=vh,
+                           scores=scores, attn=attn, attn_used=attn_used)
     return y, cache
 
 
@@ -294,15 +242,13 @@ def attn_backward(cache: AttentionCache, dy: np.ndarray,
         raise ShapeError(f"dy shape {dy.shape} does not match output {(length, d)}")
 
     grads = ptree.zeros_like(params)
-    if cache.mode is MaskMode.ALL_DROPPED:
+    mask = cache.mask
+    if mask.mode is MaskMode.ALL_DROPPED:
         if dscores_extra is not None:
             raise ContractViolation("no score matrix exists on the all-dropped path")
         dpre = dy @ params.w_o.T
         grads.w_o[...] = cache.pre.T @ dy
-        lv = length if cache.valid_len is None else cache.valid_len
-        dmean = dpre.sum(axis=0)
-        dv = np.zeros_like(cache.v_full)
-        dv[:lv] = dmean / lv
+        dv = np.tile(dpre.sum(axis=0) / length, (length, 1))
         grads.w_v[...] = cache.x.T @ dv
         dx = dv @ params.w_v.T
         return dx, grads
@@ -317,15 +263,13 @@ def attn_backward(cache: AttentionCache, dy: np.ndarray,
     dvh = attn_used.transpose(0, 2, 1) @ dout_h
 
     d_attn = d_attn_used
-    if cache.mode is MaskMode.WEIGHTS:
-        d_attn = d_attn_used * cache.mask_entries[None, :, :]
-        if cache.weights_rescale is not None:
-            d_attn = d_attn * cache.weights_rescale
+    if mask.mode is MaskMode.WEIGHTS:
+        d_attn = d_attn_used * mask.entries[None, :, :]
+        if mask.rescale is not None:
+            d_attn = d_attn * mask.rescale
 
     attn = cache.attn
     dscores = attn * (d_attn - (d_attn * attn).sum(axis=2, keepdims=True))
-    if cache.fallback_rows is not None:
-        dscores[:, cache.fallback_rows, :] = 0.0
     if dscores_extra is not None:
         if num_heads != 1:
             raise ContractViolation("score-gradient injection needs a single head")

@@ -4,8 +4,9 @@ The task model is a small transformer encoder: token plus learned position
 embeddings, N post-norm blocks (attention, residual, layer norm,
 feed-forward, residual, layer norm), and a classifier head read from the
 first position. It is instantiated twice by the adversarial trainer, once
-as the defender and once as the attacker; the attacker additionally takes
-per-layer dropout masks into its attention.
+as the defender and once as the attacker; every attention regularizer,
+the attacker's learned one included, reaches it as one MaskMatrix per
+layer.
 
 The generator is a deliberately small policy network: its own token
 embedding of width d_g, a single one-head attention layer shared across all
@@ -246,43 +247,17 @@ class TaskCache:
     tokens: np.ndarray
     blocks: list[_BlockCache]
     x_final: np.ndarray
-    valid_len: int | None
-
-
-def _resolve_layer_masks(params, masks, layer_masks, constant_attn_layers):
-    n = params.num_layers
-    if sum(x is not None for x in (masks, layer_masks, constant_attn_layers)) > 1:
-        raise ContractViolation("pass at most one mask source")
-    if masks is not None:
-        if len(masks.masks) != n:
-            raise ShapeError(f"decision has {len(masks.masks)} layers, model has {n}")
-        return [MaskMatrix.from_drop_bits(m) for m in masks.masks]
-    if layer_masks is not None:
-        if len(layer_masks) != n:
-            raise ShapeError(f"got {len(layer_masks)} layer masks, model has {n}")
-        return list(layer_masks)
-    if constant_attn_layers is not None:
-        bits = np.asarray(constant_attn_layers)
-        if bits.shape != (n,):
-            raise ShapeError(f"need {n} constant-attention bits, got {bits.shape}")
-        return [MaskMatrix.all_dropped() if b else MaskMatrix.none() for b in bits]
-    return [MaskMatrix.none()] * n
 
 
 def task_forward(params: TaskModelParams, tokens,
-                 masks: MaskDecision | None = None,
-                 layer_masks: list[MaskMatrix] | None = None,
-                 skip_blocks: np.ndarray | None = None,
-                 constant_attn_layers: np.ndarray | None = None,
-                 valid_len: int | None = None,
-                 weights_rescale: float | None = None) -> tuple[np.ndarray, TaskCache]:
+                 layer_masks: list[MaskMatrix | None] | None = None,
+                 skip_blocks: np.ndarray | None = None) -> tuple[np.ndarray, TaskCache]:
     """Forward pass over one token sequence; returns (1 x C logits, cache).
 
-    masks supplies per-layer drop bits (the generator's decision); a layer
-    whose bits are all set takes the constant-attention path. layer_masks
-    passes prebuilt MaskMatrix objects (the random regularizers use this),
-    constant_attn_layers replaces chosen attention sublayers with the
-    constant path, and skip_blocks short-circuits whole blocks to identity.
+    layer_masks holds one MaskMatrix per layer (None: no dropout anywhere);
+    it is the one way a mask reaches the model, whether it comes from the
+    generator's drop bits, a random regularizer, or an all-dropped
+    attention layer. skip_blocks short-circuits whole blocks to identity.
     Classification pools the first position.
     """
     cfg = params.config
@@ -295,20 +270,22 @@ def task_forward(params: TaskModelParams, tokens,
     if np.any(tokens < 0) or np.any(tokens >= cfg.vocab_size):
         raise IndexError(f"token id out of range [0, {cfg.vocab_size})")
 
-    mask_list = _resolve_layer_masks(params, masks, layer_masks, constant_attn_layers)
-    skips = np.zeros(params.num_layers, dtype=bool) if skip_blocks is None \
+    n = params.num_layers
+    layer_masks = [None] * n if layer_masks is None else layer_masks
+    if len(layer_masks) != n:
+        raise ShapeError(f"got {len(layer_masks)} layer masks, model has {n}")
+    skips = np.zeros(n, dtype=bool) if skip_blocks is None \
         else np.asarray(skip_blocks).astype(bool)
-    if skips.shape != (params.num_layers,):
-        raise ShapeError(f"need {params.num_layers} skip bits, got {skips.shape}")
+    if skips.shape != (n,):
+        raise ShapeError(f"need {n} skip bits, got {skips.shape}")
 
     x = params.token_embedding[tokens] + params.position_embedding[:length]
     blocks = []
-    for layer, mask, skip in zip(params.layers, mask_list, skips):
+    for layer, mask, skip in zip(params.layers, layer_masks, skips):
         if skip:
             blocks.append(_BlockCache(skipped=True))
             continue
-        a, attn_cache = attn_forward(x, layer.attn, mask, valid_len=valid_len,
-                                     weights_rescale=weights_rescale)
+        a, attn_cache = attn_forward(x, layer.attn, mask)
         h1, ln1_cache = _ln_forward(x + a, layer.ln1_gain, layer.ln1_bias)
         ff_pre = h1 @ layer.ff_w1 + layer.ff_b1
         ff_act = gelu(ff_pre)
@@ -317,7 +294,7 @@ def task_forward(params: TaskModelParams, tokens,
         blocks.append(_BlockCache(False, attn_cache, ln1_cache, h1, ff_pre, ff_act, ln2_cache))
 
     logits = x[0:1] @ params.head_w + params.head_b
-    return logits, TaskCache(params, tokens, blocks, x, valid_len)
+    return logits, TaskCache(params, tokens, blocks, x)
 
 
 def task_backward(cache: TaskCache, dlogits: np.ndarray) -> TaskModelParams:
@@ -497,20 +474,29 @@ def save_checkpoint(path, params) -> None:
 
 
 def load_checkpoint(path):
-    """Read a save_checkpoint file; raises ContractViolation unless the kind
-    is known and the tensors are exactly the model's names, shapes and
-    float64."""
+    """Read a save_checkpoint file; raises ContractViolation unless the
+    header is well formed, the kind is known and the tensors are exactly
+    the model's names, shapes and float64."""
     with np.load(path) as data:
-        header = json.loads(bytes(data["__header__"]).decode())
-        if header["version"] != _CHECKPOINT_VERSION:
-            raise ContractViolation(f"unsupported checkpoint version {header['version']}")
-        kind, meta = header["kind"], header["meta"]
+        try:
+            header = json.loads(bytes(data["__header__"]).decode())
+            version, kind, meta = header["version"], header["kind"], header["meta"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ContractViolation(f"malformed checkpoint header: {exc!r}") from None
+        if version != _CHECKPOINT_VERSION:
+            raise ContractViolation(f"unsupported checkpoint version {version}")
         if kind == "task":
-            params = init_task_model(ModelConfig(**meta), seed=0)
+            config_cls, init = ModelConfig, init_task_model
         elif kind == "generator":
-            params = init_generator(GeneratorConfig(**meta), seed=0)
+            config_cls, init = GeneratorConfig, init_generator
         else:
             raise ContractViolation(f"unknown checkpoint kind {kind!r}")
+        try:
+            config = config_cls(**meta)
+        except TypeError as exc:
+            raise ContractViolation(f"checkpoint meta does not fit {config_cls.__name__}: "
+                                    f"{exc}") from None
+        params = init(config, seed=0)
         expected = dict(ptree.iter_arrays(params))
         stored = set(data.files) - {"__header__"}
         if stored != set(expected):

@@ -139,12 +139,6 @@ class RngState:
         """Standard Gumbel(0, 1) draw; consumes one word."""
         return float(-np.log(-np.log(self.uniform_open())))
 
-    def normal(self) -> float:
-        """Standard normal via Box-Muller; consumes two words."""
-        u1 = self.uniform_open()
-        u2 = self.uniform_open()
-        return float(np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2))
-
     def normal_array(self, shape) -> np.ndarray:
         n = int(np.prod(shape))
         u = self.uniform_open_array(2 * n)
@@ -195,16 +189,6 @@ class RngState:
 # ---------------------------------------------------------------------------
 # Dense kernels
 # ---------------------------------------------------------------------------
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def softmax_rows(m: np.ndarray) -> np.ndarray:

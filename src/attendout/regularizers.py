@@ -15,18 +15,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import MaskMatrix
-from .numkernel import ConfigError, RngState, bernoulli_array, sample_bernoulli
+from .numkernel import ConfigError, RngState, bernoulli_array
 
 
 def vanilla_attention_mask(length: int, p: float, rng: RngState,
-                           mode: str = "scores") -> MaskMatrix:
+                           mode: str = "scores", rescale: bool = False) -> MaskMatrix:
     """Drop each of the L^2 attention units independently with probability p.
 
     In scores mode a fully dropped row cannot be represented, so any such
     row escalates the whole layer to the constant-attention path (at the
     probabilities used in practice this is vanishingly rare). Weights mode
     keeps the literal binary mask; a dead row there just zeroes that row's
-    mix, which is well defined.
+    mix, which is well defined. rescale (weights mode only; scores mode
+    renormalizes through the softmax) scales kept weights by 1 / (1 - p).
     """
     if length < 1:
         raise ConfigError(f"mask side must be >= 1, got {length}")
@@ -34,20 +35,21 @@ def vanilla_attention_mask(length: int, p: float, rng: RngState,
     if mode == "scores":
         return MaskMatrix.from_drop_bits(bits)
     if mode == "weights":
-        return MaskMatrix.weights((1 - bits).astype(np.float64))
+        scale = 1.0 / (1.0 - p) if rescale and p < 1.0 else None
+        return MaskMatrix.weights((1 - bits).astype(np.float64), scale)
     raise ConfigError(f"unknown vanilla dropout mode {mode!r}")
 
 
 def layerdrop_decision(num_blocks: int, p: float, rng: RngState) -> np.ndarray:
     """Per-block skip bits: a set bit passes the whole encoder block through
     as identity (the residual stream survives untouched)."""
-    return np.array([sample_bernoulli(p, rng) for _ in range(num_blocks)], dtype=np.uint8)
+    return bernoulli_array(p, (num_blocks,), rng)
 
 
 def attn_layerdrop_decision(num_layers: int, p: float, rng: RngState) -> np.ndarray:
     """Per-layer bits replacing only the attention sublayer with the
     constant path; feed-forward, residuals and layer norms still run."""
-    return np.array([sample_bernoulli(p, rng) for _ in range(num_layers)], dtype=np.uint8)
+    return bernoulli_array(p, (num_layers,), rng)
 
 
 @dataclass

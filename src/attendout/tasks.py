@@ -151,28 +151,3 @@ def split(dataset: Dataset, fractions, seed: int) -> tuple[Dataset, Dataset, Dat
                            dataset.vocab_size, dataset.num_classes, tag))
         offset += size
     return tuple(out)
-
-
-def save_dataset(path, dataset: Dataset) -> None:
-    """Line format: space-separated token ids, a tab, the label."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for tokens, label in dataset.examples:
-            fh.write(" ".join(str(int(t)) for t in tokens) + "\t" + str(int(label)) + "\n")
-
-
-def load_dataset(path, vocab_size: int, num_classes: int,
-                 split_tag: str = SPLIT_TRAIN) -> Dataset:
-    examples = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            try:
-                ids_text, label_text = line.split("\t")
-                tokens = np.array([int(t) for t in ids_text.split()], dtype=np.int64)
-                label = int(label_text)
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: malformed record") from None
-            examples.append((tokens, label))
-    return Dataset(examples, vocab_size, num_classes, split_tag)

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import ptree, tasks
+from .attention import MaskMatrix
 from .config import (
     METHOD_ATTENDOUT,
     METHOD_ATTN_LAYERDROP,
@@ -215,15 +216,16 @@ def sync_models(defender: TaskModelParams, attacker: TaskModelParams,
             "attacker" if pick_attacker else "defender")
 
 
-def _update_on_batch(params, batch, lr, opt_state, mask_for_item=None):
-    """Forward the batch (one sequence at a time), average the loss, apply
-    one optimizer step. Returns (loss, batch_hash)."""
+def _update_on_batch(params, batch, lr, opt_state, item_masks=None, skip_blocks=None):
+    """Forward the batch one sequence at a time, item i under the layer
+    masks item_masks[i] and every item under skip_blocks; average the loss,
+    apply one optimizer step. Returns (loss, batch_hash)."""
+    item_masks = [None] * len(batch) if item_masks is None else item_masks
     logits_rows = []
     caches = []
     labels = []
-    for i, (tokens, label) in enumerate(batch):
-        kwargs = {} if mask_for_item is None else mask_for_item(i, tokens)
-        logits, cache = task_forward(params, tokens, **kwargs)
+    for (tokens, label), layer_masks in zip(batch, item_masks):
+        logits, cache = task_forward(params, tokens, layer_masks, skip_blocks)
         logits_rows.append(logits[0])
         caches.append(cache)
         labels.append(label)
@@ -310,9 +312,10 @@ def dropout_step(game: AttendOutGame, stream: BatchStream, cfg: TrainConfig):
             (tokens, gnet_sample_masks(game.generator, tokens, num_layers, game.policy_rng))
             for tokens, _ in batch
         ]
+        item_masks = [[MaskMatrix.from_drop_bits(bits) for bits in decision.masks]
+                      for _, decision in step_decisions]
         loss_a, hash_a = _update_on_batch(
-            game.attacker, batch, cfg.lr, game.opt_attacker,
-            mask_for_item=lambda i, tokens: {"masks": step_decisions[i][1]},
+            game.attacker, batch, cfg.lr, game.opt_attacker, item_masks
         )
         game.ledger.hashes_attacker.append(hash_a)
         if hash_a != hash_d:
@@ -443,49 +446,34 @@ def _train_single(cfg: TrainConfig, mcfg: ModelConfig, train_ds, dev_ds, root):
         step, epoch, batch = item
         row = {"step": step, "epoch": epoch, "method": cfg.method}
 
-        if cfg.method == METHOD_NONE:
-            loss, _ = _update_on_batch(model, batch, cfg.lr, opt)
-        elif cfg.method in (METHOD_VANILLA, METHOD_SCHEDULED):
+        item_masks = skips = None
+        if cfg.method in (METHOD_VANILLA, METHOD_SCHEDULED):
             if cfg.method == METHOD_VANILLA:
                 probs = [cfg.p] * cfg.layers
             else:
                 probs = [schedule_probability(schedule, i, step) for i in range(cfg.layers)]
                 for layer, prob in enumerate(probs):
                     mask_trace.append((step, layer, prob))
-            rescale = None
-            if cfg.method == METHOD_VANILLA and cfg.vanilla_rescale and cfg.p < 1.0:
-                rescale = 1.0 / (1.0 - cfg.p)
             mode = cfg.vanilla_mode if cfg.method == METHOD_VANILLA else "scores"
-            batch_masks = [
-                [vanilla_attention_mask(tokens.size, probs[i], mask_rng, mode)
+            rescale = cfg.method == METHOD_VANILLA and cfg.vanilla_rescale
+            item_masks = [
+                [vanilla_attention_mask(tokens.size, probs[i], mask_rng, mode, rescale)
                  for i in range(cfg.layers)]
                 for tokens, _ in batch
             ]
-            loss, _ = _update_on_batch(
-                model, batch, cfg.lr, opt,
-                mask_for_item=lambda i, tokens: {
-                    "layer_masks": batch_masks[i],
-                    "weights_rescale": rescale,
-                } if rescale is not None else {"layer_masks": batch_masks[i]},
-            )
             row["drop_prob"] = [float(p) for p in probs]
         elif cfg.method == METHOD_LAYERDROP:
             skips = layerdrop_decision(cfg.layers, cfg.p, mask_rng)
-            loss, _ = _update_on_batch(
-                model, batch, cfg.lr, opt,
-                mask_for_item=lambda i, tokens: {"skip_blocks": skips},
-            )
             row["drop_prob"] = [cfg.p] * cfg.layers
         elif cfg.method == METHOD_ATTN_LAYERDROP:
             bits = attn_layerdrop_decision(cfg.layers, cfg.p, mask_rng)
-            loss, _ = _update_on_batch(
-                model, batch, cfg.lr, opt,
-                mask_for_item=lambda i, tokens: {"constant_attn_layers": bits},
-            )
+            layer_masks = [MaskMatrix.all_dropped() if b else MaskMatrix.none() for b in bits]
+            item_masks = [layer_masks] * len(batch)
             row["drop_prob"] = [cfg.p] * cfg.layers
-        else:
+        elif cfg.method != METHOD_NONE:
             raise ConfigError(f"method {cfg.method!r} has no single-model loop")
 
+        loss, _ = _update_on_batch(model, batch, cfg.lr, opt, item_masks, skips)
         row["loss_D"] = loss
         metrics.append(row)
 

@@ -22,7 +22,6 @@ from attendout.cli import main as cli_main
 from attendout.config import parse_config_text
 from attendout.models import (
     GeneratorConfig,
-    MaskDecision,
     ModelConfig,
     gnet_logprob_backward,
     gnet_sample_masks,
@@ -106,10 +105,10 @@ def test_criterion_2_constant_attention_exactness():
     params = init_task_model(cfg, 7)
     tokens = np.array([0, 5, 2, 8, 1, 7, 4, 3])
     bits = attn_layerdrop_decision(2, 1.0, nk.RngState(0))
-    via_layerdrop, _ = task_forward(params, tokens, constant_attn_layers=bits)
-    decision = MaskDecision([np.ones((8, 8), dtype=np.uint8)] * 2,
-                            0.0, np.ones(2), np.ones(2))
-    via_masks, _ = task_forward(params, tokens, masks=decision)
+    via_layerdrop, _ = task_forward(params, tokens, layer_masks=[
+        MaskMatrix.all_dropped() if b else MaskMatrix.none() for b in bits])
+    via_masks, _ = task_forward(params, tokens, layer_masks=[
+        MaskMatrix.from_drop_bits(np.ones((8, 8), dtype=np.uint8))] * 2)
     assert np.array_equal(via_layerdrop, via_masks)
     _report(2, f"pre-projection rows equal column mean of V to {worst:.1e} "
                "<= 1e-12; attention-layerdrop p=1 bitwise equals all-dropped masks")

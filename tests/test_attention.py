@@ -196,26 +196,26 @@ def test_weights_mask_validates_binary():
 # ---------------------------------------------------------------------------
 
 
-def _gradcheck_mode(mask, seed=31, heads=2, length=4, d=8, rescale=None):
+def _gradcheck_mode(mask, seed=31, heads=2, length=4, d=8):
     params = rand_attention(seed, d=d, heads=heads)
     rng = nk.RngState(seed).derive("gc")
     x = rng.normal_array((length, d)) * 0.5
     dy = rng.normal_array((length, d)) * 0.5
-    _, cache = attn_forward(x, params, mask, weights_rescale=rescale)
+    _, cache = attn_forward(x, params, mask)
     dx, grads = attn_backward(cache, dy)
 
     probe = ptree.copy_tree(params)
 
     def objective(vec):
         ptree.set_flat(probe, vec)
-        y, _ = attn_forward(x, probe, mask, weights_rescale=rescale)
+        y, _ = attn_forward(x, probe, mask)
         return float((dy * y).sum())
 
     fd = nk.finite_diff_grad(objective, ptree.flatten(params), 1e-5)
     err = max_rel_err(ptree.flatten(grads), fd)
 
     def objective_x(vec):
-        y, _ = attn_forward(vec.reshape(x.shape), params, mask, weights_rescale=rescale)
+        y, _ = attn_forward(vec.reshape(x.shape), params, mask)
         return float((dy * y).sum())
 
     fd_x = nk.finite_diff_grad(objective_x, x.ravel().copy(), 1e-5)
@@ -249,7 +249,7 @@ def test_gradcheck_mode_weights():
 
 def test_gradcheck_mode_weights_with_rescale():
     bits = (nk.RngState(2).uniform_array(16).reshape(4, 4) < 0.3).astype(float)
-    assert _gradcheck_mode(MaskMatrix.weights(1 - bits), rescale=1 / 0.7) <= 1e-4
+    assert _gradcheck_mode(MaskMatrix.weights(1 - bits, rescale=1 / 0.7)) <= 1e-4
 
 
 def test_gradcheck_mode_all_dropped():
@@ -264,29 +264,3 @@ def test_all_dropped_skips_query_key_gradients():
     assert np.all(grads.w_q == 0)
     assert np.all(grads.w_k == 0)
     assert np.any(grads.w_v != 0)
-
-
-# ---------------------------------------------------------------------------
-# padding
-# ---------------------------------------------------------------------------
-
-
-def test_padding_prefix_is_bitwise_equal():
-    params = rand_attention(33)
-    x = _rand_x(34, 7, 8)
-    y_padded, _ = attn_forward(x, params, valid_len=4)
-    y_plain, _ = attn_forward(x[:4], params)
-    assert np.array_equal(y_padded[:4], y_plain)
-
-
-def test_padding_composes_with_scores_mask():
-    params = rand_attention(35, heads=1)
-    x = _rand_x(36, 5, 8)
-    bits = np.zeros((5, 5), dtype=int)
-    bits[1, :3] = 1  # row 1 keeps only padding columns 3, 4
-    mask = MaskMatrix.scores_from_drop_bits(bits)
-    y, cache = attn_forward(x, params, mask, valid_len=3)
-    # row 1 fell back to uniform weights over the valid positions
-    assert np.abs(cache.attn[0, 1, :3] - 1 / 3).max() <= 1e-12
-    assert np.all(cache.attn[0, 1, 3:] == 0.0)
-    assert np.all(np.isfinite(y))

@@ -6,9 +6,9 @@ import pytest
 
 from attendout import numkernel as nk
 from attendout import ptree
+from attendout.attention import MaskMatrix
 from attendout.models import (
     GeneratorConfig,
-    MaskDecision,
     ModelConfig,
     decision_logprob,
     gnet_logprob_backward,
@@ -32,14 +32,17 @@ TOKENS = np.array([0, 4, 7, 1, 9, 3, 2, 10])
 GOLDEN_LOGITS = [0.08320100433811686, -0.01818330839651125, 0.020302088703690394]
 
 
+def _from_bits(*bits):
+    """Layer masks from per-layer drop bits, built as the attacker's are."""
+    return [MaskMatrix.from_drop_bits(b) for b in bits]
+
+
 def _all_keep(n, length):
-    return MaskDecision([np.zeros((length, length), dtype=np.uint8)] * n,
-                        0.0, np.zeros(n), np.zeros(n))
+    return _from_bits(*[np.zeros((length, length), dtype=np.uint8)] * n)
 
 
 def _all_drop(n, length):
-    return MaskDecision([np.ones((length, length), dtype=np.uint8)] * n,
-                        0.0, np.ones(n), np.ones(n))
+    return _from_bits(*[np.ones((length, length), dtype=np.uint8)] * n)
 
 
 # ---------------------------------------------------------------------------
@@ -81,16 +84,16 @@ def test_invalid_dimensions_rejected():
 def test_all_keep_masks_bitwise_identical_to_no_masks():
     params = init_task_model(SMALL, 1)
     plain, _ = task_forward(params, TOKENS)
-    masked, _ = task_forward(params, TOKENS, masks=_all_keep(2, 8))
+    masked, _ = task_forward(params, TOKENS, layer_masks=_all_keep(2, 8))
     assert np.array_equal(plain, masked)
 
 
 def test_all_dropped_layers_stay_finite():
     params = init_task_model(SMALL, 1)
-    logits, cache = task_forward(params, TOKENS, masks=_all_drop(2, 8))
+    logits, cache = task_forward(params, TOKENS, layer_masks=_all_drop(2, 8))
     assert np.all(np.isfinite(logits))
     # equals the constant-attention route in every layer by construction
-    logits2, _ = task_forward(params, TOKENS, constant_attn_layers=np.ones(2, dtype=int))
+    logits2, _ = task_forward(params, TOKENS, layer_masks=[MaskMatrix.all_dropped()] * 2)
     assert np.array_equal(logits, logits2)
 
 
@@ -106,6 +109,14 @@ def test_token_id_validation():
         task_forward(params, np.array([0, 99]))
     with pytest.raises(nk.ShapeError):
         task_forward(params, np.arange(9))  # beyond max_len
+
+
+def test_layer_mask_count_must_match_layers():
+    params = init_task_model(SMALL, 1)
+    with pytest.raises(nk.ShapeError):
+        task_forward(params, TOKENS, layer_masks=_all_keep(1, 8))
+    with pytest.raises(nk.ShapeError):
+        task_forward(params, TOKENS, layer_masks=_all_keep(3, 8))
 
 
 # ---------------------------------------------------------------------------
@@ -146,14 +157,13 @@ def test_task_gradcheck_with_masks_and_padding():
     tokens = np.array([0, 3, 8, 2, 5, 1])
     bits = (nk.RngState(7).uniform_array(36).reshape(6, 6) < 0.3).astype(np.uint8)
     bits[:, 0] = 0
-    decision = MaskDecision([bits, np.zeros((6, 6), dtype=np.uint8)],
-                            0.0, np.zeros(2), np.zeros(2))
+    masks = _from_bits(bits, np.zeros((6, 6), dtype=np.uint8))
     dy = nk.RngState(8).normal_array((1, 2))
-    _, cache = task_forward(params, tokens, masks=decision, valid_len=5)
+    _, cache = task_forward(params, tokens, layer_masks=masks)
     grads = task_backward(cache, dy)
 
     def objective(p):
-        lg, _ = task_forward(p, tokens, masks=decision, valid_len=5)
+        lg, _ = task_forward(p, tokens, layer_masks=masks)
         return float((dy * lg).sum())
 
     fd = tree_finite_diff(params, objective)
@@ -163,9 +173,8 @@ def test_task_gradcheck_with_masks_and_padding():
 def test_all_dropped_layer_kills_query_key_grads():
     params = init_task_model(SMALL, 1)
     bits = (nk.RngState(3).uniform_array(64).reshape(8, 8) < 0.3).astype(np.uint8)
-    decision = MaskDecision([bits, np.ones((8, 8), dtype=np.uint8)],
-                            0.0, np.zeros(2), np.ones(2))
-    _, cache = task_forward(params, TOKENS, masks=decision)
+    _, cache = task_forward(params, TOKENS,
+                            layer_masks=_from_bits(bits, np.ones((8, 8), dtype=np.uint8)))
     grads = task_backward(cache, np.array([[0.3, -0.2, 0.1]]))
     assert np.all(grads.layers[1].attn.w_q == 0)
     assert np.all(grads.layers[1].attn.w_k == 0)
@@ -416,3 +425,39 @@ def test_checkpoint_rejects_non_float64(tmp_path):
     _write_v1(tmp_path / "t.npz", "task", vars(SMALL), arrays)
     with pytest.raises(nk.ContractViolation, match="head_w"):
         load_checkpoint(tmp_path / "t.npz")
+
+
+def _write_header(path, header: bytes | None, arrays):
+    extra = {} if header is None else {"__header__": np.frombuffer(header, dtype=np.uint8)}
+    np.savez(path, **extra, **arrays)
+
+
+_TASK_META = json.dumps(vars(SMALL))
+
+
+@pytest.mark.parametrize("header", [
+    None,
+    b"\x80 not json",
+    f'{{"kind": "task", "meta": {_TASK_META}}}'.encode(),
+    f'{{"version": 1, "meta": {_TASK_META}}}'.encode(),
+    b'{"version": 1, "kind": "task"}',
+    b'[1, "task"]',
+], ids=["no_header", "not_json", "no_version", "no_kind", "no_meta", "not_an_object"])
+def test_checkpoint_rejects_malformed_header(tmp_path, header):
+    _write_header(tmp_path / "t.npz", header, _arrays(init_task_model(SMALL, 3)))
+    with pytest.raises(nk.ContractViolation, match="header"):
+        load_checkpoint(tmp_path / "t.npz")
+
+
+@pytest.mark.parametrize("kind, meta, name", [
+    ("task", {k: v for k, v in vars(SMALL).items() if k != "d_ff"}, "ModelConfig"),
+    ("task", {**vars(SMALL), "dropout": 0.1}, "ModelConfig"),
+    ("generator", {"vocab_size": GEN.vocab_size, "tau": GEN.tau}, "GeneratorConfig"),
+    ("generator", {**vars(GEN), "heads": 1}, "GeneratorConfig"),
+], ids=["task_missing_field", "task_unknown_field",
+        "generator_missing_field", "generator_unknown_field"])
+def test_checkpoint_rejects_meta_that_does_not_fit_config(tmp_path, kind, meta, name):
+    params = init_task_model(SMALL, 3) if kind == "task" else init_generator(GEN, 3)
+    _write_v1(tmp_path / "c.npz", kind, meta, _arrays(params))
+    with pytest.raises(nk.ContractViolation, match=name):
+        load_checkpoint(tmp_path / "c.npz")

@@ -7,49 +7,6 @@ from attendout import numkernel as nk
 
 
 # ---------------------------------------------------------------------------
-# matmul
-# ---------------------------------------------------------------------------
-
-
-def test_matmul_identity():
-    x = nk.RngState(1).normal_array((3, 5))
-    assert np.array_equal(nk.matmul(np.eye(3), x), x)
-
-
-def test_matmul_scalar_case():
-    out = nk.matmul(np.array([[2.0]]), np.array([[3.0]]))
-    assert out.shape == (1, 1) and out[0, 0] == 6.0
-
-
-def test_matmul_matches_triple_loop_oracle():
-    rng = nk.RngState(7)
-    a = rng.normal_array((4, 5))
-    b = rng.normal_array((5, 3))
-    expected = np.zeros((4, 3))
-    for i in range(4):
-        for j in range(3):
-            acc = 0.0
-            for k in range(5):
-                acc += a[i, k] * b[k, j]
-            expected[i, j] = acc
-    assert np.abs(nk.matmul(a, b) - expected).max() <= 1e-12
-
-
-def test_matmul_shape_error():
-    with pytest.raises(nk.ShapeError):
-        nk.matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-
-def test_matmul_associativity_property():
-    for seed in range(5):
-        rng = nk.RngState(seed).derive("assoc")
-        a, b, c = (rng.normal_array((8, 8)) for _ in range(3))
-        left = nk.matmul(nk.matmul(a, b), c)
-        right = nk.matmul(a, nk.matmul(b, c))
-        assert np.abs(left - right).max() <= 1e-9
-
-
-# ---------------------------------------------------------------------------
 # softmax_rows
 # ---------------------------------------------------------------------------
 

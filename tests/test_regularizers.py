@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from attendout import numkernel as nk
-from attendout.attention import MaskMode
-from attendout.models import MaskDecision, ModelConfig, init_task_model, task_forward
+from attendout.attention import MaskMatrix, MaskMode
+from attendout.models import ModelConfig, init_task_model, task_forward
 from attendout.numkernel import ConfigError, RngState
 from attendout.regularizers import (
     Schedule,
@@ -70,9 +70,29 @@ def test_vanilla_rejects_bad_mode(rng):
         vanilla_attention_mask(5, 0.3, rng, mode="other")
 
 
+def test_vanilla_rescale_rides_on_weights_masks_only(rng):
+    weights = vanilla_attention_mask(5, 0.2, rng, mode="weights", rescale=True)
+    assert weights.rescale == 1.0 / (1.0 - 0.2)
+    assert vanilla_attention_mask(5, 0.2, rng, mode="weights").rescale is None
+    assert vanilla_attention_mask(5, 1.0, rng, mode="weights", rescale=True).rescale is None
+    assert vanilla_attention_mask(5, 0.2, rng, rescale=True).rescale is None
+
+
 # ---------------------------------------------------------------------------
 # layerdrop decisions
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("decide", [layerdrop_decision, attn_layerdrop_decision])
+def test_layer_decisions_match_scalar_bernoulli_draws(decide):
+    # the scalar sampler is the reference: same bits, same counter advance
+    for seed in range(200):
+        for p in (0.0, 0.2, 0.5, 1.0):
+            vec_rng, ref_rng = RngState(seed).derive("ld"), RngState(seed).derive("ld")
+            bits = decide(5, p, vec_rng)
+            expected = [nk.sample_bernoulli(p, ref_rng) for _ in range(5)]
+            assert bits.dtype == np.uint8 and bits.tolist() == expected
+            assert vec_rng.counter == ref_rng.counter
 
 
 def test_layerdrop_degenerate_probabilities(rng):
@@ -107,10 +127,10 @@ def test_attn_layerdrop_p_one_equals_all_dropped_masks():
     tokens = np.array([0, 5, 2, 8, 1, 7, 4, 3])
     rng = RngState(1)
     bits = attn_layerdrop_decision(2, 1.0, rng)
-    via_layerdrop, _ = task_forward(params, tokens, constant_attn_layers=bits)
-    decision = MaskDecision([np.ones((8, 8), dtype=np.uint8)] * 2,
-                            0.0, np.ones(2), np.ones(2))
-    via_masks, _ = task_forward(params, tokens, masks=decision)
+    via_layerdrop, _ = task_forward(params, tokens, layer_masks=[
+        MaskMatrix.all_dropped() if b else MaskMatrix.none() for b in bits])
+    via_masks, _ = task_forward(params, tokens, layer_masks=[
+        MaskMatrix.from_drop_bits(np.ones((8, 8), dtype=np.uint8))] * 2)
     assert np.array_equal(via_layerdrop, via_masks)
 
 

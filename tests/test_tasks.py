@@ -10,8 +10,6 @@ from attendout.tasks import (
     TOKEN_B,
     gen_balanced_brackets,
     gen_majority_token,
-    load_dataset,
-    save_dataset,
     split,
 )
 
@@ -150,29 +148,6 @@ def test_split_tags():
     ds = gen_majority_token(30, 10, 6, seed=10)
     train, dev, test = split(ds, (0.5, 0.25, 0.25), seed=0)
     assert (train.split, dev.split, test.split) == ("train", "dev", "test")
-
-
-# ---------------------------------------------------------------------------
-# export / import
-# ---------------------------------------------------------------------------
-
-
-def test_dataset_round_trip(tmp_path):
-    ds = gen_majority_token(25, 9, 7, seed=11)
-    path = tmp_path / "data.tsv"
-    save_dataset(path, ds)
-    loaded = load_dataset(path, vocab_size=7, num_classes=2)
-    assert len(loaded) == 25
-    for (t1, l1), (t2, l2) in zip(ds.examples, loaded.examples):
-        assert np.array_equal(t1, t2) and l1 == l2
-
-
-def test_load_reports_malformed_line(tmp_path):
-    path = tmp_path / "bad.tsv"
-    path.write_text("1 2 3\t0\nbroken\n")
-    with pytest.raises(ConfigError) as err:
-        load_dataset(path, 5, 2)
-    assert ":2:" in str(err.value)
 
 
 # ---------------------------------------------------------------------------

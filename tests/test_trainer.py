@@ -445,3 +445,21 @@ def test_train_single_model_methods_log_drop_prob():
             last = result.metrics[-1]["drop_prob"][0]
             assert first == 0.6 and last < first
             assert len(result.mask_trace) == len(result.metrics) * cfg.layers
+
+
+@pytest.mark.parametrize("method, extra", [
+    ("vanilla", "\n[vanilla]\np = 0.0\n"),
+    ("vanilla", "\n[vanilla]\np = 0.0\nmode = weights\n"),
+    ("vanilla", "\n[vanilla]\np = 0.0\nmode = weights\nrescale = true\n"),
+    ("layerdrop", "\n[layerdrop]\np = 0.0\n"),
+    ("attn_layerdrop", "\n[attn_layerdrop]\np = 0.0\n"),
+    ("scheduled", "\n[scheduled]\np0 = 0.0\nslope = 0.0\n"),
+], ids=["vanilla_scores", "vanilla_weights", "vanilla_weights_rescale",
+        "layerdrop", "attn_layerdrop", "scheduled"])
+def test_single_model_methods_at_p_zero_reproduce_plain_training(method, extra):
+    # every regularizer's masks reach the model, and at p = 0 they keep
+    # every unit, so the loss curve is the unregularized one bit for bit
+    plain = train(_cfg("none", seed=4, epochs=1))
+    regularized = train(_cfg(method, seed=4, epochs=1, extra=extra))
+    assert [row["loss_D"] for row in regularized.metrics] == \
+        [row["loss_D"] for row in plain.metrics]
