@@ -43,8 +43,6 @@ from .numkernel import (
     ShapeError,
     cross_entropy_logits,
     finite_diff_grad,
-    gumbel_binary_sample,
-    sample_bernoulli,
     softmax_rows,
 )
 from .policygrad import (

@@ -265,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("gradcheck", help="run verification suites")
     p_check.add_argument("--config", default=None)
-    p_check.add_argument("--out", default=None)
     p_check.add_argument("--seed", type=int, default=None)
     p_check.add_argument("--corrupt", default=None, help=argparse.SUPPRESS)
     p_check.set_defaults(func=cmd_gradcheck)

@@ -47,70 +47,65 @@ def _bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
-# (type, required, default); default is ignored when required.
+# INI key -> (TrainConfig field, converter, required). An optional key that
+# is absent keeps its field's dataclass default.
 _SCHEMA = {
     "run": {
-        "method": (str, True, None),
-        "seed": (int, True, None),
-        "epochs": (int, True, None),
+        "method": ("method", str, True),
+        "seed": ("seed", int, True),
+        "epochs": ("epochs", int, True),
     },
     "data": {
-        "task": (str, True, None),
-        "n": (int, True, None),
-        "seq_len": (int, True, None),
-        "vocab": (int, True, None),
-        "train_fraction": (float, False, 0.8),
-        "dev_fraction": (float, False, 0.1),
-        "test_fraction": (float, False, 0.1),
+        "task": ("task", str, True),
+        "n": ("data_n", int, True),
+        "seq_len": ("seq_len", int, True),
+        "vocab": ("vocab", int, True),
+        "train_fraction": ("train_fraction", float, False),
+        "dev_fraction": ("dev_fraction", float, False),
+        "test_fraction": ("test_fraction", float, False),
     },
     "model": {
-        "layers": (int, True, None),
-        "d_model": (int, True, None),
-        "d_ff": (int, True, None),
-        "heads": (int, True, None),
+        "layers": ("layers", int, True),
+        "d_model": ("d_model", int, True),
+        "d_ff": ("d_ff", int, True),
+        "heads": ("heads", int, True),
     },
     "optimizer": {
-        "algo": (str, False, "adam"),
-        "lr": (float, True, None),
-        "momentum": (float, False, 0.0),
-        "batch_size": (int, True, None),
+        "algo": ("opt_algo", str, False),
+        "lr": ("lr", float, True),
+        "momentum": ("momentum", float, False),
+        "batch_size": ("batch_size", int, True),
     },
     "attendout": {
-        "dropout_step": (int, True, None),
-        "gnet_lr": (float, True, None),
-        "gnet_dim": (int, False, 0),       # 0 means d_model // 2
-        "tau": (float, False, 1.0),
-        "baseline_decay": (float, False, 0.9),
-        "reward": (str, False, "signed"),
-        "eval_pool": (str, False, "dev"),
-        "eval_slice_fraction": (float, False, 0.1),
+        "dropout_step": ("dropout_step", int, True),
+        "gnet_lr": ("gnet_lr", float, True),
+        "gnet_dim": ("gnet_dim", int, False),
+        "tau": ("tau", float, False),
+        "baseline_decay": ("baseline_decay", float, False),
+        "reward": ("reward", str, False),
+        "eval_pool": ("eval_pool", str, False),
+        "eval_slice_fraction": ("eval_slice_fraction", float, False),
     },
     "vanilla": {
-        "p": (float, True, None),
-        "mode": (str, False, "scores"),
-        "rescale": (_bool, False, False),
+        "p": ("p", float, True),
+        "mode": ("vanilla_mode", str, False),
+        "rescale": ("vanilla_rescale", _bool, False),
     },
     "layerdrop": {
-        "p": (float, True, None),
+        "p": ("p", float, True),
     },
     "attn_layerdrop": {
-        "p": (float, True, None),
+        "p": ("p", float, True),
     },
     "scheduled": {
-        "p0": (_float_list, False, None),
-        "slope": (_float_list, False, None),
-        "schedule_file": (str, False, None),
+        "p0": ("sched_p0", _float_list, False),
+        "slope": ("sched_slope", _float_list, False),
+        "schedule_file": ("schedule_file", str, False),
     },
 }
 
-_METHOD_SECTIONS = {
-    METHOD_NONE: None,
-    METHOD_ATTENDOUT: "attendout",
-    METHOD_VANILLA: "vanilla",
-    METHOD_LAYERDROP: "layerdrop",
-    METHOD_ATTN_LAYERDROP: "attn_layerdrop",
-    METHOD_SCHEDULED: "scheduled",
-}
+# Every section but these is a method section named after its method.
+_SHARED_SECTIONS = ("run", "data", "model", "optimizer")
 
 
 @dataclass
@@ -122,21 +117,21 @@ class TrainConfig:
     data_n: int
     seq_len: int
     vocab: int
-    train_fraction: float
-    dev_fraction: float
-    test_fraction: float
     layers: int
     d_model: int
     d_ff: int
     heads: int
-    opt_algo: str
     lr: float
-    momentum: float
     batch_size: int
+    train_fraction: float = 0.8
+    dev_fraction: float = 0.1
+    test_fraction: float = 0.1
+    opt_algo: str = "adam"
+    momentum: float = 0.0
     # attendout
     dropout_step: int = 0
     gnet_lr: float = 0.0
-    gnet_dim: int = 0
+    gnet_dim: int = 0  # 0 means d_model // 2
     tau: float = 1.0
     baseline_decay: float = 0.9
     reward: str = "signed"
@@ -156,15 +151,14 @@ class TrainConfig:
 
 def _parse_section(parser, section: str, found: dict) -> None:
     spec = _SCHEMA[section]
-    present = parser.has_section(section)
-    items = dict(parser.items(section)) if present else {}
+    items = dict(parser.items(section))
     unknown = set(items) - set(spec)
     if unknown:
         raise ConfigError(f"unknown key(s) in [{section}]: {sorted(unknown)}")
-    for key, (conv, required, default) in spec.items():
+    for key, (name, conv, required) in spec.items():
         if key in items:
             try:
-                found[(section, key)] = conv(items[key])
+                found[name] = conv(items[key])
             except ConfigError:
                 raise
             except (TypeError, ValueError):
@@ -173,17 +167,13 @@ def _parse_section(parser, section: str, found: dict) -> None:
                 ) from None
         elif required:
             raise ConfigError(f"missing required field [{section}] {key}")
-        else:
-            found[(section, key)] = default
 
 
 def compute_fairness_hash(parser: configparser.ConfigParser) -> str:
-    """Hash of the config with the method name, the seed, and all
-    method-specific sections stripped out."""
+    """Hash of the shared sections with the method name and the seed
+    stripped out."""
     parts = []
-    for section in sorted(parser.sections()):
-        if section in set(_METHOD_SECTIONS.values()) - {None}:
-            continue
+    for section in sorted(_SHARED_SECTIONS):
         for key, value in sorted(parser.items(section)):
             if section == "run" and key in ("method", "seed"):
                 continue
@@ -199,93 +189,47 @@ def parse_config_text(text: str) -> TrainConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from None
 
-    known_sections = set(_SCHEMA)
-    unknown = set(parser.sections()) - known_sections
+    unknown = set(parser.sections()) - set(_SCHEMA)
     if unknown:
         raise ConfigError(f"unknown section(s): {sorted(unknown)}")
-
-    for section in ("run", "data", "model", "optimizer"):
+    for section in _SHARED_SECTIONS:
         if not parser.has_section(section):
             raise ConfigError(f"missing required section [{section}]")
 
     found: dict = {}
     _parse_section(parser, "run", found)
-    method = found[("run", "method")].lower()
+    method = found["method"] = found["method"].lower()
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; one of {METHODS}")
+    for section in _SHARED_SECTIONS[1:]:
+        _parse_section(parser, section, found)
+    extra = set(parser.sections()) - set(_SHARED_SECTIONS) - {method}
+    if extra:
+        raise ConfigError(f"section [{min(extra)}] is not allowed when method = {method}")
+    if method != METHOD_NONE:
+        if not parser.has_section(method):
+            raise ConfigError(f"method {method!r} requires a [{method}] section")
+        _parse_section(parser, method, found)
 
-    needed = _METHOD_SECTIONS[method]
-    for section in _SCHEMA:
-        if section == "run":
-            continue
-        if section in ("data", "model", "optimizer"):
-            _parse_section(parser, section, found)
-        elif section == needed:
-            if not parser.has_section(section):
-                raise ConfigError(f"method {method!r} requires a [{section}] section")
-            _parse_section(parser, section, found)
-        elif parser.has_section(section):
-            raise ConfigError(
-                f"section [{section}] is not allowed when method = {method}"
-            )
-
-    cfg = TrainConfig(
-        method=method,
-        seed=found[("run", "seed")],
-        epochs=found[("run", "epochs")],
-        task=found[("data", "task")],
-        data_n=found[("data", "n")],
-        seq_len=found[("data", "seq_len")],
-        vocab=found[("data", "vocab")],
-        train_fraction=found[("data", "train_fraction")],
-        dev_fraction=found[("data", "dev_fraction")],
-        test_fraction=found[("data", "test_fraction")],
-        layers=found[("model", "layers")],
-        d_model=found[("model", "d_model")],
-        d_ff=found[("model", "d_ff")],
-        heads=found[("model", "heads")],
-        opt_algo=found[("optimizer", "algo")].lower(),
-        lr=found[("optimizer", "lr")],
-        momentum=found[("optimizer", "momentum")],
-        batch_size=found[("optimizer", "batch_size")],
-        fairness_hash=compute_fairness_hash(parser),
-        source_text=text,
-    )
+    cfg = TrainConfig(**found, fairness_hash=compute_fairness_hash(parser),
+                      source_text=text)
+    cfg.opt_algo = cfg.opt_algo.lower()
     if method == METHOD_ATTENDOUT:
-        cfg.dropout_step = found[("attendout", "dropout_step")]
-        cfg.gnet_lr = found[("attendout", "gnet_lr")]
-        cfg.gnet_dim = found[("attendout", "gnet_dim")] or cfg.d_model // 2
-        cfg.tau = found[("attendout", "tau")]
-        cfg.baseline_decay = found[("attendout", "baseline_decay")]
-        cfg.reward = found[("attendout", "reward")]
-        cfg.eval_pool = found[("attendout", "eval_pool")]
-        cfg.eval_slice_fraction = found[("attendout", "eval_slice_fraction")]
-    elif method in (METHOD_VANILLA, METHOD_LAYERDROP, METHOD_ATTN_LAYERDROP):
-        cfg.p = found[(needed, "p")]
-        if method == METHOD_VANILLA:
-            cfg.vanilla_mode = found[("vanilla", "mode")]
-            cfg.vanilla_rescale = found[("vanilla", "rescale")]
-    elif method == METHOD_SCHEDULED:
-        cfg.sched_p0 = found[("scheduled", "p0")]
-        cfg.sched_slope = found[("scheduled", "slope")]
-        cfg.schedule_file = found[("scheduled", "schedule_file")]
-        has_linear = cfg.sched_p0 is not None or cfg.sched_slope is not None
-        if has_linear and (cfg.sched_p0 is None or cfg.sched_slope is None):
-            raise ConfigError("[scheduled] p0 and slope must be given together")
-        if has_linear and cfg.schedule_file is not None:
-            raise ConfigError("[scheduled] give either p0/slope or schedule_file, not both")
-        if not has_linear and cfg.schedule_file is None:
-            raise ConfigError("[scheduled] needs p0/slope or a schedule_file")
-
+        cfg.gnet_dim = cfg.gnet_dim or cfg.d_model // 2
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: TrainConfig) -> None:
+    """Range and consistency checks on config values; they run at load, so a
+    bad value fails before any run directory is written."""
     if cfg.task not in (TASK_MAJORITY, TASK_BRACKETS):
         raise ConfigError(f"unknown task {cfg.task!r}")
-    if cfg.task == TASK_BRACKETS and cfg.vocab != 3:
-        raise ConfigError("balanced_brackets uses a fixed vocabulary of 3")
+    if cfg.task == TASK_BRACKETS:
+        if cfg.vocab != 3:
+            raise ConfigError("balanced_brackets uses a fixed vocabulary of 3")
+        if cfg.seq_len < 3 or cfg.seq_len % 2 == 0:
+            raise ConfigError(f"balanced_brackets needs an odd seq_len >= 3, got {cfg.seq_len}")
     if cfg.epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {cfg.epochs}")
     if cfg.batch_size < 1:
@@ -295,17 +239,38 @@ def _validate(cfg: TrainConfig) -> None:
     if cfg.method == METHOD_ATTENDOUT:
         if cfg.dropout_step < 1:
             raise ConfigError(f"dropout_step must be >= 1, got {cfg.dropout_step}")
+        if cfg.gnet_dim < 0:
+            raise ConfigError(f"gnet_dim must be >= 0, got {cfg.gnet_dim}")
         if cfg.reward not in ("signed", "gap"):
             raise ConfigError(f"reward must be signed or gap, got {cfg.reward!r}")
         if cfg.eval_pool not in ("dev", "train_slice"):
             raise ConfigError(f"eval_pool must be dev or train_slice, got {cfg.eval_pool!r}")
+        if not 0.0 < cfg.eval_slice_fraction < 1.0:
+            raise ConfigError(
+                f"eval_slice_fraction must lie in (0, 1), got {cfg.eval_slice_fraction}")
         if cfg.tau <= 0:
             raise ConfigError(f"tau must be positive, got {cfg.tau}")
+        if not 0.0 < cfg.baseline_decay < 1.0:
+            raise ConfigError(f"baseline_decay must lie in (0, 1), got {cfg.baseline_decay}")
     if cfg.method in (METHOD_VANILLA, METHOD_LAYERDROP, METHOD_ATTN_LAYERDROP):
         if not 0.0 <= cfg.p <= 1.0:
             raise ConfigError(f"p must be in [0, 1], got {cfg.p}")
         if cfg.method == METHOD_VANILLA and cfg.vanilla_mode not in ("scores", "weights"):
             raise ConfigError(f"vanilla mode must be scores or weights, got {cfg.vanilla_mode!r}")
+    if cfg.method == METHOD_SCHEDULED:
+        p0, slope = cfg.sched_p0, cfg.sched_slope
+        has_linear = p0 is not None or slope is not None
+        if has_linear and (p0 is None or slope is None):
+            raise ConfigError("[scheduled] p0 and slope must be given together")
+        if has_linear and cfg.schedule_file is not None:
+            raise ConfigError("[scheduled] give either p0/slope or schedule_file, not both")
+        if not has_linear and cfg.schedule_file is None:
+            raise ConfigError("[scheduled] needs p0/slope or a schedule_file")
+        for name, vals in (("p0", p0), ("slope", slope)):
+            if vals is not None and len(vals) not in (1, cfg.layers):
+                raise ConfigError(
+                    f"[scheduled] {name} needs 1 or {cfg.layers} values, got {len(vals)}"
+                )
 
 
 def load_config(path) -> TrainConfig:

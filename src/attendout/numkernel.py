@@ -120,24 +120,17 @@ class RngState:
         """One draw, uniform on [0, 1)."""
         return (self.next_u64() >> 11) * 2.0**-53
 
-    def uniform_open(self) -> float:
-        """One draw, uniform on the open interval (0, 1); safe under log.
-
-        Uses 52 bits so the +0.5 offset stays exactly representable and the
-        result can never round up to 1.0.
-        """
-        return ((self.next_u64() >> 12) + 0.5) * 2.0**-52
-
     def uniform_array(self, n: int) -> np.ndarray:
         return (self._u64_array(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
     def uniform_open_array(self, n: int) -> np.ndarray:
+        """n draws, uniform on the open interval (0, 1); safe under log.
+
+        Uses 52 bits so the +0.5 offset stays exactly representable and no
+        draw can round up to 1.0.
+        """
         bits = (self._u64_array(n) >> np.uint64(12)).astype(np.float64)
         return (bits + 0.5) * 2.0**-52
-
-    def gumbel(self) -> float:
-        """Standard Gumbel(0, 1) draw; consumes one word."""
-        return float(-np.log(-np.log(self.uniform_open())))
 
     def normal_array(self, shape) -> np.ndarray:
         n = int(np.prod(shape))
@@ -265,13 +258,6 @@ def gelu_grad(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def sample_bernoulli(p: float, rng: RngState) -> int:
-    """Returns 1 with probability p; consumes exactly one draw."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"Bernoulli probability must be in [0, 1], got {p}")
-    return 1 if rng.uniform() < p else 0
-
-
 def bernoulli_array(p: float, shape, rng: RngState) -> np.ndarray:
     """Vectorized Bernoulli(p); draw-for-draw identical to a scalar loop in
     row-major order."""
@@ -281,27 +267,13 @@ def bernoulli_array(p: float, shape, rng: RngState) -> np.ndarray:
     return (rng.uniform_array(n) < p).astype(np.uint8).reshape(shape)
 
 
-def gumbel_binary_sample(logit: float, rng: RngState) -> tuple[int, float]:
-    """Binary action via the Gumbel-max trick over the two logits {logit, 0}.
-
-    Returns the sampled bit (1 with probability sigmoid(logit)) and the log
-    probability of the action actually taken. Consumes two draws, one Gumbel
-    per action.
-    """
-    if not np.isfinite(logit):
-        raise ValueError(f"logit must be finite, got {logit}")
-    g_one = rng.gumbel()
-    g_zero = rng.gumbel()
-    bit = 1 if logit + g_one > g_zero else 0
-    logprob = float(log_sigmoid(logit if bit else -logit))
-    return bit, logprob
-
-
 def gumbel_binary_sample_array(logits: np.ndarray, rng: RngState) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized gumbel_binary_sample over an array of logits.
+    """Binary actions via the Gumbel-max trick over the two logits {logit, 0}
+    of each unit.
 
-    Units are visited in row-major order, two draws each, so the consumed
-    counter range matches a loop of scalar calls exactly.
+    Returns the sampled bits (1 with probability sigmoid(logit)) and the log
+    probability of each action actually taken. Units are visited in
+    row-major order and consume two draws each, one Gumbel per action.
     """
     logits = np.asarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(logits)):

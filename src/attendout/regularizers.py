@@ -156,11 +156,3 @@ def load_schedule_file(path, num_layers: int) -> Schedule:
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
-
-def schedule_lines_from_trace(trace_rows, steps_per_window: int) -> list[str]:
-    """Convert a mask-trace (dropout_step, layer, mean_drop_prob) into
-    schedule-file lines, mapping window indices back to optimizer steps."""
-    lines = ["# layer step probability"]
-    for window, layer, prob in trace_rows:
-        lines.append(f"{int(layer)} {int(window) * steps_per_window} {prob:.6f}")
-    return lines

@@ -385,12 +385,7 @@ def _generate_dataset(cfg: TrainConfig) -> tasks.Dataset:
     if cfg.task == TASK_MAJORITY:
         return tasks.gen_majority_token(cfg.data_n, cfg.seq_len, cfg.vocab, cfg.seed)
     if cfg.task == TASK_BRACKETS:
-        body = cfg.seq_len - 1
-        if body < 2 or body % 2 != 0:
-            raise ConfigError(
-                f"balanced_brackets needs an odd seq_len >= 3, got {cfg.seq_len}"
-            )
-        return tasks.gen_balanced_brackets(cfg.data_n, body, cfg.seed)
+        return tasks.gen_balanced_brackets(cfg.data_n, cfg.seq_len - 1, cfg.seed)
     raise ConfigError(f"unknown task {cfg.task!r}")
 
 
@@ -405,15 +400,7 @@ def _model_config(cfg: TrainConfig, num_classes: int) -> ModelConfig:
 def _build_schedule(cfg: TrainConfig) -> Schedule:
     if cfg.schedule_file is not None:
         return load_schedule_file(cfg.schedule_file, cfg.layers)
-    p0, slope = cfg.sched_p0, cfg.sched_slope
-    for name, vals in (("p0", p0), ("slope", slope)):
-        if len(vals) not in (1, cfg.layers):
-            raise ConfigError(
-                f"[scheduled] {name} needs 1 or {cfg.layers} values, got {len(vals)}"
-            )
-    p0 = p0 * cfg.layers if len(p0) == 1 else p0
-    slope = slope * cfg.layers if len(slope) == 1 else slope
-    return Schedule.linear(np.array(p0), np.array(slope), cfg.layers)
+    return Schedule.linear(cfg.sched_p0, cfg.sched_slope, cfg.layers)
 
 
 def train(config: TrainConfig) -> TrainResult:

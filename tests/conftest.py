@@ -3,7 +3,7 @@ import pytest
 
 from attendout import ptree
 from attendout.attention import AttentionParams
-from attendout.numkernel import RngState
+from attendout.numkernel import RngState, log_sigmoid
 
 
 def rand_attention(seed: int, d: int = 8, heads: int = 2, scale: float = 0.5) -> AttentionParams:
@@ -37,3 +37,29 @@ def tree_finite_diff(params, objective, h: float = 1e-5):
 @pytest.fixture
 def rng():
     return RngState(12345)
+
+
+# ---------------------------------------------------------------------------
+# Scalar samplers: the one-draw-at-a-time references that the vectorized
+# numkernel samplers must match bit for bit and counter for counter.
+# ---------------------------------------------------------------------------
+
+
+def sample_bernoulli(p: float, rng: RngState) -> int:
+    """1 with probability p; consumes exactly one draw."""
+    return 1 if rng.uniform() < p else 0
+
+
+def _gumbel(rng: RngState) -> float:
+    """Standard Gumbel(0, 1) from one open-interval uniform draw."""
+    u = ((rng.next_u64() >> 12) + 0.5) * 2.0**-52
+    return float(-np.log(-np.log(u)))
+
+
+def gumbel_binary_sample(logit: float, rng: RngState) -> tuple[int, float]:
+    """Gumbel-max over the two logits {logit, 0}: the sampled bit and the log
+    probability of the action taken; consumes two draws."""
+    g_one = _gumbel(rng)
+    g_zero = _gumbel(rng)
+    bit = 1 if logit + g_one > g_zero else 0
+    return bit, float(log_sigmoid(logit if bit else -logit))

@@ -156,6 +156,28 @@ def test_cmd_train_invalid_config_nonzero_exit(tmp_path, capsys):
     assert "epochs" in capsys.readouterr().err
 
 
+ATTENDOUT_CFG = MINIMAL.replace("method = none", "method = attendout") + ATTENDOUT_SECTION
+SCHEDULED_2_LAYERS = (MINIMAL.replace("method = none", "method = scheduled")
+                      .replace("layers = 1", "layers = 2"))
+
+
+@pytest.mark.parametrize("text", [
+    ATTENDOUT_CFG + "baseline_decay = 1.5\n",
+    ATTENDOUT_CFG + "gnet_dim = -4\n",
+    ATTENDOUT_CFG + "eval_pool = train_slice\neval_slice_fraction = 1.5\n",
+    MINIMAL.replace("task = majority_token", "task = balanced_brackets")
+           .replace("vocab = 6", "vocab = 3"),
+    SCHEDULED_2_LAYERS + "\n[scheduled]\np0 = 0.1\nslope = 0.0, 0.0, 0.0\n",
+], ids=["baseline_decay", "gnet_dim", "eval_slice_fraction", "brackets_even_seq_len",
+        "scheduled_slope_count"])
+def test_cmd_train_bad_value_fails_before_run_dir(tmp_path, capsys, text):
+    cfg_path = _write(tmp_path, "bad.ini", text)
+    out = tmp_path / "out"
+    assert main(["train", "--config", cfg_path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_cmd_train_honors_out_root_env(tmp_path, monkeypatch):
     monkeypatch.setenv("ATTENDOUT_OUT_ROOT", str(tmp_path))
     cfg_path = _write(tmp_path, "run.ini", MINIMAL)
@@ -237,8 +259,6 @@ def test_replay_malformed_schedule_errors(tmp_path, capsys):
 
 def test_replay_schedule_from_adversarial_trace(tmp_path):
     # pipeline: adversarial run -> mask trace -> schedule file -> replay
-    from attendout.regularizers import schedule_lines_from_trace
-
     ao_cfg = _write(tmp_path, "ao.ini",
                     MINIMAL.replace("method = none", "method = attendout")
                     + ATTENDOUT_SECTION)
@@ -250,8 +270,9 @@ def test_replay_schedule_from_adversarial_trace(tmp_path):
         trace_rows.append((int(window), int(layer), float(prob)))
     assert trace_rows
     sched_path = tmp_path / "from_trace.schedule"
-    sched_path.write_text(
-        "\n".join(schedule_lines_from_trace(trace_rows, steps_per_window=2)) + "\n")
+    # window w of T = 2 steps starts at optimizer step 2 * w
+    sched_path.write_text("".join(f"{layer} {window * 2} {prob:.6f}\n"
+                                  for window, layer, prob in trace_rows))
     base_cfg = _write(tmp_path, "base.ini", MINIMAL)
     assert main(["replay-schedule", "--schedule", str(sched_path),
                  "--config", base_cfg, "--out", str(tmp_path / "replayed")]) == 0

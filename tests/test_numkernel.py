@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from attendout import numkernel as nk
+from conftest import gumbel_binary_sample
 
 
 # ---------------------------------------------------------------------------
@@ -146,14 +147,15 @@ def test_rng_choice_without_replacement():
 
 
 def test_bernoulli_degenerate_probabilities(rng):
-    assert all(nk.sample_bernoulli(0.0, rng) == 0 for _ in range(200))
-    assert all(nk.sample_bernoulli(1.0, rng) == 1 for _ in range(200))
+    assert not nk.bernoulli_array(0.0, 200, rng).any()
+    assert nk.bernoulli_array(1.0, 200, rng).all()
 
 
 def test_bernoulli_counter_advances_by_one(rng):
+    # one draw per unit
     before = rng.counter
-    nk.sample_bernoulli(0.5, rng)
-    assert rng.counter == before + 1
+    nk.bernoulli_array(0.5, (3, 4), rng)
+    assert rng.counter == before + 12
 
 
 def test_bernoulli_mean_within_three_sigma():
@@ -166,9 +168,9 @@ def test_bernoulli_mean_within_three_sigma():
 
 def test_bernoulli_rejects_bad_probability(rng):
     with pytest.raises(ValueError):
-        nk.sample_bernoulli(1.5, rng)
+        nk.bernoulli_array(1.5, 4, rng)
     with pytest.raises(ValueError):
-        nk.sample_bernoulli(-0.1, rng)
+        nk.bernoulli_array(-0.1, 4, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -177,16 +179,14 @@ def test_bernoulli_rejects_bad_probability(rng):
 
 
 def test_gumbel_symmetric_logprob(rng):
-    for _ in range(20):
-        bit, logprob = nk.gumbel_binary_sample(0.0, rng)
-        assert abs(logprob - math.log(0.5)) <= 1e-12
+    _, logprobs = nk.gumbel_binary_sample_array(np.zeros(20), rng)
+    assert np.all(np.abs(logprobs - math.log(0.5)) <= 1e-12)
 
 
 def test_gumbel_saturated_logit(rng):
-    for _ in range(50):
-        bit, logprob = nk.gumbel_binary_sample(20.0, rng)
-        assert bit == 1
-        assert abs(logprob) <= 1e-8
+    bits, logprobs = nk.gumbel_binary_sample_array(np.full(50, 20.0), rng)
+    assert np.all(bits == 1)
+    assert np.all(np.abs(logprobs) <= 1e-8)
 
 
 def test_gumbel_empirical_rate_within_ci():
@@ -211,7 +211,7 @@ def test_gumbel_scalar_and_array_agree():
     bits_vec, lp_vec = nk.gumbel_binary_sample_array(logits, a)
     for i in range(5):
         for j in range(5):
-            bit, lp = nk.gumbel_binary_sample(logits[i, j], b)
+            bit, lp = gumbel_binary_sample(logits[i, j], b)
             assert bit == bits_vec[i, j]
             assert lp == lp_vec[i, j]
     assert a.counter == b.counter
@@ -219,7 +219,7 @@ def test_gumbel_scalar_and_array_agree():
 
 def test_gumbel_rejects_nonfinite(rng):
     with pytest.raises(ValueError):
-        nk.gumbel_binary_sample(float("inf"), rng)
+        nk.gumbel_binary_sample_array(np.array([0.0, float("inf")]), rng)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from attendout.regularizers import (
     schedule_probability,
     vanilla_attention_mask,
 )
+from conftest import sample_bernoulli
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +91,7 @@ def test_layer_decisions_match_scalar_bernoulli_draws(decide):
         for p in (0.0, 0.2, 0.5, 1.0):
             vec_rng, ref_rng = RngState(seed).derive("ld"), RngState(seed).derive("ld")
             bits = decide(5, p, vec_rng)
-            expected = [nk.sample_bernoulli(p, ref_rng) for _ in range(5)]
+            expected = [sample_bernoulli(p, ref_rng) for _ in range(5)]
             assert bits.dtype == np.uint8 and bits.tolist() == expected
             assert vec_rng.counter == ref_rng.counter
 
