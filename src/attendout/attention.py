@@ -87,7 +87,7 @@ class MaskMatrix:
 @dataclass
 class AttentionParams(ptree.ParamTree):
     """Projections of one attention layer; all four are d_model x d_model.
-    Gradients of attn_backward come back in the same class."""
+    attn_backward adds its gradients into a tree of the same class."""
 
     w_q: np.ndarray
     w_k: np.ndarray
@@ -165,21 +165,18 @@ def _validate_mask(mask: MaskMatrix, length: int) -> None:
             )
 
 
-def constant_attention(v: np.ndarray, params: AttentionParams | None = None) -> np.ndarray:
-    """Attention output when every unit is dropped.
+def constant_attention(v: np.ndarray) -> np.ndarray:
+    """Attention output, before the output projection, when every unit is
+    dropped.
 
     The softmax of an all-dropped score matrix is the constant 1/L, so each
-    output row is the column mean of the value matrix v. With params given,
-    the output projection is applied; without, the pre-projection rows are
-    returned. The query/key projections never run on this path.
+    output row is the column mean of the value matrix v. The query/key
+    projections never run on this path.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 2 or v.shape[0] < 1:
         raise ShapeError(f"value matrix must be 2-D and nonempty, got {v.shape}")
-    pre = np.tile(v.mean(axis=0), (v.shape[0], 1))
-    if params is None:
-        return pre
-    return pre @ params.w_o
+    return np.tile(v.mean(axis=0), (v.shape[0], 1))
 
 
 def attn_forward(x: np.ndarray, params: AttentionParams,
@@ -225,15 +222,17 @@ def attn_forward(x: np.ndarray, params: AttentionParams,
     return y, cache
 
 
-def attn_backward(cache: AttentionCache, dy: np.ndarray,
-                  dscores_extra: np.ndarray | None = None) -> tuple[np.ndarray, AttentionParams]:
+def attn_backward(cache: AttentionCache, dy: np.ndarray, grads: AttentionParams,
+                  dscores_extra: np.ndarray | None = None) -> np.ndarray:
     """Reverse-mode pass matching a prior attn_forward.
 
     Mask entries are constants: no gradient flows through dropped units.
-    dscores_extra, if given, is an extra gradient injected directly on the
-    pre-softmax score matrix (single-head layers only); the mask generator
-    uses this to differentiate its action log-probabilities. Returns
-    (dx, parameter gradients shaped like the params).
+    The parameter gradients are added into grads, a caller-owned tree
+    shaped like the params (such as one layer's slot of a whole-model
+    gradient buffer). dscores_extra, if given, is an extra gradient
+    injected directly on the pre-softmax score matrix (single-head layers
+    only); the mask generator uses this to differentiate its action
+    log-probabilities. Returns dx.
     """
     dy = np.asarray(dy, dtype=np.float64)
     params = cache.params
@@ -241,21 +240,19 @@ def attn_backward(cache: AttentionCache, dy: np.ndarray,
     if dy.shape != (length, d):
         raise ShapeError(f"dy shape {dy.shape} does not match output {(length, d)}")
 
-    grads = ptree.zeros_like(params)
     mask = cache.mask
     if mask.mode is MaskMode.ALL_DROPPED:
         if dscores_extra is not None:
             raise ContractViolation("no score matrix exists on the all-dropped path")
         dpre = dy @ params.w_o.T
-        grads.w_o[...] = cache.pre.T @ dy
+        grads.w_o += cache.pre.T @ dy
         dv = np.tile(dpre.sum(axis=0) / length, (length, 1))
-        grads.w_v[...] = cache.x.T @ dv
-        dx = dv @ params.w_v.T
-        return dx, grads
+        grads.w_v += cache.x.T @ dv
+        return dv @ params.w_v.T
 
     num_heads, d_k = params.num_heads, params.d_k
     dpre = dy @ params.w_o.T
-    grads.w_o[...] = cache.pre.T @ dy
+    grads.w_o += cache.pre.T @ dy
     dout_h = _split_heads(dpre, num_heads)
 
     attn_used = cache.attn_used if cache.attn_used is not None else cache.attn
@@ -282,8 +279,7 @@ def attn_backward(cache: AttentionCache, dy: np.ndarray,
     dq = _merge_heads(dqh)
     dk = _merge_heads(dkh)
     dv = _merge_heads(dvh)
-    grads.w_q[...] = cache.x.T @ dq
-    grads.w_k[...] = cache.x.T @ dk
-    grads.w_v[...] = cache.x.T @ dv
-    dx = dq @ params.w_q.T + dk @ params.w_k.T + dv @ params.w_v.T
-    return dx, grads
+    grads.w_q += cache.x.T @ dq
+    grads.w_k += cache.x.T @ dk
+    grads.w_v += cache.x.T @ dv
+    return dq @ params.w_q.T + dk @ params.w_k.T + dv @ params.w_v.T

@@ -100,7 +100,8 @@ def gradcheck_attention(seed: int = 0, h: float = 1e-5,
         x = r.normal_array((length, d)) * 0.5
         dy = r.normal_array((length, d)) * 0.5
         _, cache = attn_forward(x, params, mask)
-        _, grads = attn_backward(cache, dy)
+        grads = ptree.zeros_like(params)
+        attn_backward(cache, dy, grads)
         fd = _tree_fd(params, lambda p: float((dy * attn_forward(x, p, mask)[0]).sum()), h)
         for name, err in _per_tensor_errors(grads, fd, corrupt):
             reports.append(CheckReport(f"attention[{mode_name}]", name, err,
@@ -122,7 +123,8 @@ def gradcheck_task_model(seed: int = 0, h: float = 1e-5,
 
     logits, cache = task_forward(params, tokens)
     _, dlogits = cross_entropy_logits(logits, label)
-    grads = task_backward(cache, dlogits)
+    grads = ptree.zeros_like(params)
+    task_backward(cache, dlogits, grads)
     fd = _tree_fd(params, lambda p: cross_entropy_logits(task_forward(p, tokens)[0], label)[0], h)
     elapsed = time.time() - t0
     return [CheckReport("task_model", name, err, GRAD_TOLERANCE, elapsed)

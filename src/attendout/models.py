@@ -297,16 +297,16 @@ def task_forward(params: TaskModelParams, tokens,
     return logits, TaskCache(params, tokens, blocks, x)
 
 
-def task_backward(cache: TaskCache, dlogits: np.ndarray) -> TaskModelParams:
-    """Gradients of <dlogits, logits> for every parameter; returns a tree
-    shaped like the parameters, on a fresh zeroed buffer. Dropped attention
-    units and skipped blocks contribute nothing."""
+def task_backward(cache: TaskCache, dlogits: np.ndarray, grads: TaskModelParams) -> None:
+    """Gradients of <dlogits, logits> for every parameter, added into grads,
+    a caller-owned tree shaped like the parameters (a batch sums its items
+    into one buffer this way). Dropped attention units and skipped blocks
+    contribute nothing."""
     params = cache.params
     dlogits = np.asarray(dlogits, dtype=np.float64)
     if dlogits.shape != (1, params.config.num_classes):
         raise ShapeError(f"dlogits must be 1x{params.config.num_classes}")
 
-    grads = ptree.zeros_like(params)
     grads.head_w += cache.x_final[0:1].T @ dlogits
     grads.head_b += dlogits[0]
 
@@ -333,13 +333,15 @@ def task_backward(cache: TaskCache, dlogits: np.ndarray) -> TaskModelParams:
         dr1, dg1, db1 = _ln_backward(block.ln1_cache, layer.ln1_gain, dh1)
         glayer.ln1_gain += dg1
         glayer.ln1_bias += db1
-        da, attn_grads = attn_backward(block.attn_cache, dr1)
-        glayer.attn.flat += attn_grads.flat
-        dx = dr1 + da
+        dx = dr1 + attn_backward(block.attn_cache, dr1, glayer.attn)
 
-    np.add.at(grads.token_embedding, cache.tokens, dx)
+    # Repeated tokens are summed within the sequence first, so each row of
+    # the batch buffer takes one addition per sequence: scattering straight
+    # into it would reorder the float additions.
+    dembed = np.zeros_like(grads.token_embedding)
+    np.add.at(dembed, cache.tokens, dx)
+    grads.token_embedding += dembed
     grads.position_embedding[:length] += dx
-    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +430,7 @@ def gnet_backward_from_score_grads(gparams: GeneratorParams, tokens, caches,
     grads = ptree.zeros_like(gparams)
     dh = np.zeros((tokens_len, dim))
     for cache, ds in zip(reversed(caches), reversed(dscores_list)):
-        dh, attn_grads = attn_backward(cache, dh, dscores_extra=ds)
-        grads.attn.flat += attn_grads.flat
+        dh = attn_backward(cache, dh, grads.attn, dscores_extra=ds)
     np.add.at(grads.token_embedding, tokens, dh)
     return grads
 

@@ -89,10 +89,6 @@ def set_flat(tree, vec: np.ndarray) -> None:
     tree.flat[...] = vec
 
 
-def num_params(tree) -> int:
-    return tree.flat.size
-
-
 def trees_equal(a, b) -> bool:
     """Bitwise equality of all array leaves."""
     return type(a) is type(b) and np.array_equal(a.flat, b.flat)

@@ -4,12 +4,13 @@ and the random regularizer baselines, all under one deterministic harness.
 The adversarial loop follows a fixed cadence. Defender and attacker start
 bit-identical. For T optimizer steps (one "dropout step") both consume the
 same mini-batches: the defender updates on clean forwards, the attacker
-under masks sampled per batch item from the generator, and every batch is
-cached. At the window boundary both models are scored on T held-out
-samples drawn without replacement; the win sign becomes the reward, the
-moving-average baseline absorbs it, the generator takes one policy-gradient
-step, the cache is released, and both task models are re-synchronized to a
-single source sampled with higher probability for the better scorer.
+under masks sampled per batch item from the generator, and every sampled
+decision is kept for the generator update. At the window boundary both
+models are scored on T held-out samples drawn without replacement; the win
+sign becomes the reward, the moving-average baseline absorbs it, the
+generator takes one policy-gradient step, the kept decisions are released,
+and both task models are re-synchronized to a single source sampled with
+higher probability for the better scorer.
 
 All randomness flows through named counter-based streams, so two runs with
 the same config and seed produce byte-identical metrics.
@@ -17,7 +18,6 @@ the same config and seed produce byte-identical metrics.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -177,14 +177,6 @@ class BatchStream:
         return step, epoch, batch
 
 
-def _batch_hash(batch) -> str:
-    h = hashlib.blake2b(digest_size=12)
-    for tokens, label in batch:
-        h.update(np.ascontiguousarray(tokens, dtype=np.int64).tobytes())
-        h.update(int(label).to_bytes(4, "little", signed=True))
-    return h.hexdigest()
-
-
 # ---------------------------------------------------------------------------
 # Shared pieces
 # ---------------------------------------------------------------------------
@@ -219,7 +211,8 @@ def sync_models(defender: TaskModelParams, attacker: TaskModelParams,
 def _update_on_batch(params, batch, lr, opt_state, item_masks=None, skip_blocks=None):
     """Forward the batch one sequence at a time, item i under the layer
     masks item_masks[i] and every item under skip_blocks; average the loss,
-    apply one optimizer step. Returns (loss, batch_hash)."""
+    sum every item's gradient into one buffer and apply one optimizer step.
+    Returns the loss."""
     item_masks = [None] * len(batch) if item_masks is None else item_masks
     logits_rows = []
     caches = []
@@ -230,11 +223,11 @@ def _update_on_batch(params, batch, lr, opt_state, item_masks=None, skip_blocks=
         caches.append(cache)
         labels.append(label)
     loss, dlogits = cross_entropy_logits(np.stack(logits_rows), labels)
-    grads = task_backward(caches[0], dlogits[0:1])
-    for i in range(1, len(caches)):
-        ptree.add_scaled(grads, task_backward(caches[i], dlogits[i:i + 1]), 1.0)
+    grads = ptree.zeros_like(params)
+    for i, cache in enumerate(caches):
+        task_backward(cache, dlogits[i:i + 1], grads)
     optimizer_step(params, grads, lr, opt_state)
-    return loss, _batch_hash(batch)
+    return loss
 
 
 # ---------------------------------------------------------------------------
@@ -244,26 +237,17 @@ def _update_on_batch(params, batch, lr, opt_state, item_masks=None, skip_blocks=
 
 @dataclass
 class DropoutStepLedger:
-    """Per-window state: cached batches, the decisions taken (grouped by
-    optimizer step), batch hashes for the defender/attacker agreement
-    check, and the latest evaluation pair."""
+    """Per-window state: the (tokens, MaskDecision) pairs the generator
+    update reads, one list per optimizer step."""
 
-    cached_batches: list = field(default_factory=list)
     decisions: list = field(default_factory=list)
-    hashes_defender: list = field(default_factory=list)
-    hashes_attacker: list = field(default_factory=list)
-    eval_defender: float | None = None
-    eval_attacker: float | None = None
 
     @property
     def steps_taken(self) -> int:
-        return len(self.cached_batches)
+        return len(self.decisions)
 
     def release(self) -> None:
-        self.cached_batches.clear()
         self.decisions.clear()
-        self.hashes_defender.clear()
-        self.hashes_attacker.clear()
 
 
 @dataclass
@@ -292,7 +276,7 @@ def dropout_step(game: AttendOutGame, stream: BatchStream, cfg: TrainConfig):
     training budget performs no generator update (the epoch-boundary signal
     is not an error), but still releases its cache.
     """
-    if game.ledger.steps_taken or game.ledger.decisions:
+    if game.ledger.decisions:
         raise ContractViolation("dropout step started with a non-empty cache")
     num_layers = game.defender.config.num_layers
     rows = []
@@ -301,12 +285,7 @@ def dropout_step(game: AttendOutGame, stream: BatchStream, cfg: TrainConfig):
         if item is None:
             break
         step, epoch, batch = item
-        game.ledger.cached_batches.append(batch)
-
-        loss_d, hash_d = _update_on_batch(
-            game.defender, batch, cfg.lr, game.opt_defender
-        )
-        game.ledger.hashes_defender.append(hash_d)
+        loss_d = _update_on_batch(game.defender, batch, cfg.lr, game.opt_defender)
 
         step_decisions = [
             (tokens, gnet_sample_masks(game.generator, tokens, num_layers, game.policy_rng))
@@ -314,12 +293,9 @@ def dropout_step(game: AttendOutGame, stream: BatchStream, cfg: TrainConfig):
         ]
         item_masks = [[MaskMatrix.from_drop_bits(bits) for bits in decision.masks]
                       for _, decision in step_decisions]
-        loss_a, hash_a = _update_on_batch(
+        loss_a = _update_on_batch(
             game.attacker, batch, cfg.lr, game.opt_attacker, item_masks
         )
-        game.ledger.hashes_attacker.append(hash_a)
-        if hash_a != hash_d:
-            raise ContractViolation("defender and attacker consumed different batches")
         game.ledger.decisions.append(step_decisions)
 
         rows.append({
@@ -333,8 +309,6 @@ def dropout_step(game: AttendOutGame, stream: BatchStream, cfg: TrainConfig):
         samples = [game.eval_pool[i] for i in idx]
         eval_d = evaluate(game.defender, samples)
         eval_a = evaluate(game.attacker, samples)
-        game.ledger.eval_defender = eval_d
-        game.ledger.eval_attacker = eval_a
 
         flat = [pair for group in game.ledger.decisions for pair in group]
         rewards = compute_rewards(eval_a, eval_d, len(flat), cfg.reward)
@@ -460,7 +434,7 @@ def _train_single(cfg: TrainConfig, mcfg: ModelConfig, train_ds, dev_ds, root):
         elif cfg.method != METHOD_NONE:
             raise ConfigError(f"method {cfg.method!r} has no single-model loop")
 
-        loss, _ = _update_on_batch(model, batch, cfg.lr, opt, item_masks, skips)
+        loss = _update_on_batch(model, batch, cfg.lr, opt, item_masks, skips)
         row["loss_D"] = loss
         metrics.append(row)
 

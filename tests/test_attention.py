@@ -74,7 +74,7 @@ def test_constant_attention_single_row_equals_plain():
     params = rand_attention(7, heads=1)
     x = _rand_x(8, 1, 8)
     y_plain, _ = attn_forward(x, params)
-    y_const = constant_attention(x @ params.w_v, params)
+    y_const = constant_attention(x @ params.w_v) @ params.w_o
     assert np.abs(y_plain - y_const).max() <= 1e-12
 
 
@@ -202,7 +202,8 @@ def _gradcheck_mode(mask, seed=31, heads=2, length=4, d=8):
     x = rng.normal_array((length, d)) * 0.5
     dy = rng.normal_array((length, d)) * 0.5
     _, cache = attn_forward(x, params, mask)
-    dx, grads = attn_backward(cache, dy)
+    grads = ptree.zeros_like(params)
+    dx = attn_backward(cache, dy, grads)
 
     probe = ptree.copy_tree(params)
 
@@ -226,7 +227,8 @@ def test_backward_zero_upstream_gives_zero_grads():
     params = rand_attention(27)
     x = _rand_x(28, 4, 8)
     _, cache = attn_forward(x, params)
-    dx, grads = attn_backward(cache, np.zeros_like(x))
+    grads = ptree.zeros_like(params)
+    dx = attn_backward(cache, np.zeros_like(x), grads)
     assert np.all(dx == 0)
     for _, arr in ptree.iter_arrays(grads):
         assert np.all(arr == 0)
@@ -256,11 +258,30 @@ def test_gradcheck_mode_all_dropped():
     assert _gradcheck_mode(MaskMatrix.all_dropped()) <= 1e-4
 
 
+def test_backward_adds_into_existing_gradients():
+    bits = (nk.RngState(3).uniform_array(16).reshape(4, 4) < 0.3).astype(np.uint8)
+    bits[:, 0] = 0
+    masks = [None, MaskMatrix.from_drop_bits(bits),
+             MaskMatrix.weights(1.0 - bits, rescale=1 / 0.7), MaskMatrix.all_dropped()]
+    params = rand_attention(32)
+    x, dy = _rand_x(33, 4, 8), _rand_x(34, 4, 8)
+    g0 = rand_attention(35, scale=2.0)
+    for mask in masks:
+        _, cache = attn_forward(x, params, mask)
+        fresh = ptree.zeros_like(params)
+        dx_fresh = attn_backward(cache, dy, fresh)
+        held = ptree.copy_tree(g0)
+        dx_held = attn_backward(cache, dy, held)
+        assert np.array_equal(held.flat, g0.flat + fresh.flat)
+        assert np.array_equal(dx_held, dx_fresh)
+
+
 def test_all_dropped_skips_query_key_gradients():
     params = rand_attention(29)
     x = _rand_x(30, 5, 8)
     _, cache = attn_forward(x, params, MaskMatrix.all_dropped())
-    _, grads = attn_backward(cache, _rand_x(31, 5, 8))
+    grads = ptree.zeros_like(params)
+    attn_backward(cache, _rand_x(31, 5, 8), grads)
     assert np.all(grads.w_q == 0)
     assert np.all(grads.w_k == 0)
     assert np.any(grads.w_v != 0)

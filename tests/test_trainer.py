@@ -3,16 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from attendout import ptree
-from attendout.attention import AttentionParams
+from attendout import ptree, trainer
+from attendout.attention import AttentionParams, MaskMatrix
 from attendout.config import parse_config_text
 from attendout.models import (
     GeneratorParams,
     ModelConfig,
     init_task_model,
+    task_backward,
     task_forward,
 )
-from attendout.numkernel import ContractViolation, DivergenceError, RngState
+from attendout.numkernel import (
+    ContractViolation,
+    DivergenceError,
+    RngState,
+    cross_entropy_logits,
+)
 from attendout.tasks import gen_majority_token, split
 from attendout.trainer import (
     AttendOutGame,
@@ -127,6 +133,76 @@ def test_optimizer_rejects_nonfinite_gradient():
     with pytest.raises(DivergenceError) as err:
         optimizer_step(params, grads, 0.1, OptimizerState("sgd"))
     assert "head_w" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# one gradient buffer per batch
+# ---------------------------------------------------------------------------
+
+GRAD_CFG = ModelConfig(vocab_size=6, max_len=6, num_layers=3, d_model=8,
+                       d_ff=16, num_heads=2, num_classes=3)
+# every sequence repeats tokens, so the token-embedding scatter sums rows
+GRAD_BATCH = [(np.array([0, 3, 3, 5, 3, 1]), 1), (np.array([0, 2, 2, 2, 4, 2]), 2),
+              (np.array([0, 5, 1, 5, 1, 5]), 0)]
+GRAD_SKIPS = np.array([0, 0, 1])
+
+
+def _grad_masks():
+    """Per-item layer masks covering all four modes; layer 2 is skipped."""
+    bits = (RngState(11).uniform_array(36).reshape(6, 6) < 0.3).astype(np.uint8)
+    bits[:, 0] = 0
+    keep = 1.0 - bits
+    return [
+        [None, MaskMatrix.from_drop_bits(bits), None],
+        [MaskMatrix.weights(keep, rescale=1 / 0.7), MaskMatrix.all_dropped(), None],
+        [MaskMatrix.all_dropped(), MaskMatrix.weights(keep), MaskMatrix.none()],
+    ]
+
+
+def test_batch_gradient_buffer_matches_per_item_trees_bitwise(monkeypatch):
+    params = init_task_model(GRAD_CFG, 9)
+    item_masks = _grad_masks()
+    seen = []  # the buffer handed to the optimizer, which is stubbed out
+    monkeypatch.setattr(trainer, "optimizer_step",
+                        lambda p, grads, lr, state: seen.append(grads))
+    trainer._update_on_batch(params, GRAD_BATCH, 0.01, OptimizerState("adam"),
+                             item_masks, GRAD_SKIPS)
+    [batch_grads] = seen
+
+    # reference: a fresh zeroed tree per item, summed in item order
+    logits, caches = [], []
+    for (tokens, _), masks in zip(GRAD_BATCH, item_masks):
+        lg, cache = task_forward(params, tokens, masks, GRAD_SKIPS)
+        logits.append(lg[0])
+        caches.append(cache)
+    _, dlogits = cross_entropy_logits(np.stack(logits), [label for _, label in GRAD_BATCH])
+    per_item = []
+    for i, cache in enumerate(caches):
+        g = ptree.zeros_like(params)
+        task_backward(cache, dlogits[i:i + 1], g)
+        per_item.append(g)
+    reference = per_item[0]
+    for g in per_item[1:]:
+        ptree.add_scaled(reference, g, 1.0)
+
+    assert np.any(batch_grads.layers[0].attn.w_q != 0)
+    assert not batch_grads.layers[2].flat.any()
+    assert np.array_equal(batch_grads.flat, reference.flat)
+
+
+def test_update_on_batch_allocates_one_gradient_tree(monkeypatch):
+    params = init_task_model(GRAD_CFG, 9)
+    calls = []
+    zeros_like = ptree.zeros_like
+
+    def counting(tree):
+        calls.append(type(tree))
+        return zeros_like(tree)
+    monkeypatch.setattr(ptree, "zeros_like", counting)
+    loss = trainer._update_on_batch(params, GRAD_BATCH, 0.01, OptimizerState("adam"),
+                                    _grad_masks(), GRAD_SKIPS)
+    assert np.isfinite(loss)
+    assert calls == [type(params)]
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +424,7 @@ def test_dropout_step_unit_window_counts():
 def test_dropout_step_requires_fresh_ledger():
     cfg = _attendout_cfg(seed=4, epochs=1, T=2)
     game, stream = _fresh_game(cfg)
-    game.ledger.cached_batches.append([("junk", 0)])
+    game.ledger.decisions.append([("junk", None)])
     with pytest.raises(ContractViolation):
         dropout_step(game, stream, cfg)
 
