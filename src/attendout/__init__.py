@@ -63,7 +63,6 @@ from .regularizers import (
 from .tasks import Dataset, gen_balanced_brackets, gen_majority_token, split
 from .trainer import (
     BatchStream,
-    DropoutStepLedger,
     OptimizerState,
     TrainResult,
     dropout_step,

@@ -15,7 +15,9 @@ import configparser
 import hashlib
 from dataclasses import dataclass
 
-from .numkernel import ConfigError
+from .models import ModelConfig
+from .numkernel import ConfigError, ShapeError
+from .tasks import NUM_CLASSES, split_sizes
 
 METHOD_NONE = "none"
 METHOD_ATTENDOUT = "attendout"
@@ -220,16 +222,42 @@ def parse_config_text(text: str) -> TrainConfig:
     return cfg
 
 
+def model_config(cfg: TrainConfig) -> ModelConfig:
+    return ModelConfig(
+        vocab_size=cfg.vocab, max_len=cfg.seq_len, num_layers=cfg.layers,
+        d_model=cfg.d_model, d_ff=cfg.d_ff, num_heads=cfg.heads,
+        num_classes=NUM_CLASSES,
+    )
+
+
+def eval_slice_size(train_size: int, fraction: float) -> int:
+    """Size of an attendout train_slice pool, cut from the train split's end."""
+    return max(1, int(train_size * fraction))
+
+
 def _validate(cfg: TrainConfig) -> None:
     """Range and consistency checks on config values; they run at load, so a
     bad value fails before any run directory is written."""
     if cfg.task not in (TASK_MAJORITY, TASK_BRACKETS):
         raise ConfigError(f"unknown task {cfg.task!r}")
+    if cfg.task == TASK_MAJORITY:
+        if cfg.vocab < 3:
+            raise ConfigError(f"majority_token needs vocab >= 3, got {cfg.vocab}")
+        if cfg.seq_len < 2:
+            raise ConfigError(f"majority_token needs seq_len >= 2, got {cfg.seq_len}")
     if cfg.task == TASK_BRACKETS:
         if cfg.vocab != 3:
             raise ConfigError("balanced_brackets uses a fixed vocabulary of 3")
         if cfg.seq_len < 3 or cfg.seq_len % 2 == 0:
             raise ConfigError(f"balanced_brackets needs an odd seq_len >= 3, got {cfg.seq_len}")
+    if cfg.data_n < 1:
+        raise ConfigError(f"[data] n must be >= 1, got {cfg.data_n}")
+    train_size, dev_size, _ = split_sizes(
+        cfg.data_n, (cfg.train_fraction, cfg.dev_fraction, cfg.test_fraction))
+    try:
+        model_config(cfg).validate()
+    except ShapeError as exc:
+        raise ConfigError(str(exc)) from None
     if cfg.epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {cfg.epochs}")
     if cfg.batch_size < 1:
@@ -252,6 +280,11 @@ def _validate(cfg: TrainConfig) -> None:
             raise ConfigError(f"tau must be positive, got {cfg.tau}")
         if not 0.0 < cfg.baseline_decay < 1.0:
             raise ConfigError(f"baseline_decay must lie in (0, 1), got {cfg.baseline_decay}")
+        pool = (dev_size if cfg.eval_pool == "dev"
+                else eval_slice_size(train_size, cfg.eval_slice_fraction))
+        if pool < cfg.dropout_step:
+            raise ConfigError(
+                f"evaluation pool of {pool} cannot cover T={cfg.dropout_step}")
     if cfg.method in (METHOD_VANILLA, METHOD_LAYERDROP, METHOD_ATTN_LAYERDROP):
         if not 0.0 <= cfg.p <= 1.0:
             raise ConfigError(f"p must be in [0, 1], got {cfg.p}")

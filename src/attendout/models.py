@@ -205,10 +205,10 @@ def init_generator(config: GeneratorConfig, seed: int | RngState) -> GeneratorPa
 
 
 def _ln_forward(x, gain, bias):
-    mean = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
+    xc = x - x.mean(axis=1, keepdims=True)
+    var = (xc * xc).mean(axis=1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
-    x_hat = (x - mean) * inv_std
+    x_hat = xc * inv_std
     return gain * x_hat + bias, (x_hat, inv_std)
 
 

@@ -1,15 +1,15 @@
 """Policy-gradient machinery for the generator.
 
-The generator is rewarded by the outcome of the defender/attacker game:
-attacker scoring higher earns +1 for every sample of the dropout step,
-lower earns -1, a tie earns 0 (a "gap" scheme using the raw score
-difference is available as a config option). A moving-average baseline is
-subtracted before the score-function update; it shifts variance, not the
-expected update. The update itself is plain gradient ascent,
+The generator is rewarded once per dropout step by the outcome of the
+defender/attacker game: attacker scoring higher earns +1, lower earns -1,
+a tie earns 0 (a "gap" scheme using the raw score difference is available
+as a config option). A moving-average baseline is subtracted before the
+score-function update; it shifts variance, not the expected update. The
+update itself is plain gradient ascent,
 
-    theta <- theta + lr * sum_t grad_logprob_t * (r_t - b)
+    theta <- theta + lr * (r - b) * sum_t grad_logprob_t
 
-over one sampled trajectory per step, with each grad_logprob already
+over every decision sampled in the step, with each grad_logprob already
 carrying the per-unit 1 / (N * L^2) normalization.
 """
 
@@ -37,19 +37,15 @@ ENUMERATION_LIMIT = 20
 
 @dataclass
 class RewardRecord:
-    per_sample: np.ndarray
+    reward: float
     eval_attacker: float
     eval_defender: float
     win: str
 
-    @property
-    def mean(self) -> float:
-        return float(self.per_sample.mean())
-
 
 @dataclass
 class Baseline:
-    """Moving average of observed mean rewards."""
+    """Moving average of observed rewards."""
 
     value: float = 0.0
     decay: float = 0.9
@@ -60,11 +56,9 @@ class Baseline:
             raise ValueError(f"decay must lie in (0, 1), got {self.decay}")
 
 
-def compute_rewards(eval_attacker: float, eval_defender: float, count: int,
+def compute_rewards(eval_attacker: float, eval_defender: float,
                     scheme: str = "signed") -> RewardRecord:
-    """Broadcast the step-level game outcome to every sample of the step."""
-    if count < 1:
-        raise ValueError(f"need at least one sample, got {count}")
+    """Score one dropout step's game outcome."""
     for name, v in (("eval_attacker", eval_attacker), ("eval_defender", eval_defender)):
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"{name} must be a score in [0, 1], got {v}")
@@ -81,15 +75,15 @@ def compute_rewards(eval_attacker: float, eval_defender: float, count: int,
         r = float(gap)
     else:
         raise ValueError(f"unknown reward scheme {scheme!r}")
-    return RewardRecord(np.full(count, r), eval_attacker, eval_defender, win)
+    return RewardRecord(r, eval_attacker, eval_defender, win)
 
 
 def update_baseline(baseline: Baseline, rewards: RewardRecord) -> Baseline:
     """First observation seeds the average; later ones decay into it."""
-    mean = rewards.mean
+    r = rewards.reward
     if not baseline.initialized:
-        return Baseline(mean, baseline.decay, True)
-    new = baseline.decay * baseline.value + (1.0 - baseline.decay) * mean
+        return Baseline(r, baseline.decay, True)
+    new = baseline.decay * baseline.value + (1.0 - baseline.decay) * r
     return Baseline(new, baseline.decay, True)
 
 
@@ -97,18 +91,16 @@ def reinforce_update(gparams: GeneratorParams, decisions, rewards: RewardRecord,
                      baseline: Baseline, lr: float) -> GeneratorParams:
     """Apply one score-function ascent step in place and return the params.
 
-    decisions is a list of (tokens, MaskDecision) pairs, one per sample,
-    aligned with rewards.per_sample.
+    decisions is the step's list of (tokens, MaskDecision) pairs, one per
+    sample; they all share the one advantage of rewards.reward.
     """
-    if len(decisions) != rewards.per_sample.size:
-        raise ContractViolation(
-            f"{len(decisions)} decisions vs {rewards.per_sample.size} rewards"
-        )
+    if not decisions:
+        raise ContractViolation("reinforce update needs at least one decision")
+    advantage = rewards.reward - baseline.value
+    if advantage == 0.0:
+        return gparams
     total = ptree.zeros_like(gparams)
-    for (tokens, decision), r in zip(decisions, rewards.per_sample):
-        advantage = float(r) - baseline.value
-        if advantage == 0.0:
-            continue
+    for tokens, decision in decisions:
         grad = gnet_logprob_backward(gparams, tokens, decision)
         ptree.add_scaled(total, grad, advantage)
     ptree.add_scaled(gparams, total, lr)

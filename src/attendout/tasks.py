@@ -24,6 +24,8 @@ SPLIT_TRAIN = "train"
 SPLIT_DEV = "dev"
 SPLIT_TEST = "test"
 
+NUM_CLASSES = 2  # every task here is a binary classification
+
 
 @dataclass
 class Dataset:
@@ -66,7 +68,7 @@ def gen_majority_token(n: int, seq_len: int, vocab_size: int, seed: int) -> Data
             if label == want:
                 examples.append((toks, label))
                 break
-    return Dataset(examples, vocab_size, 2)
+    return Dataset(examples, vocab_size, NUM_CLASSES)
 
 
 def _is_balanced(brackets: np.ndarray) -> bool:
@@ -116,22 +118,18 @@ def gen_balanced_brackets(n: int, bracket_len: int, seed: int) -> Dataset:
                     break
         toks = np.concatenate(([CLS_ID], brackets))
         examples.append((toks, label))
-    return Dataset(examples, 3, 2)
+    return Dataset(examples, 3, NUM_CLASSES)
 
 
-def split(dataset: Dataset, fractions, seed: int) -> tuple[Dataset, Dataset, Dataset]:
-    """Deterministic shuffled partition into train/dev/test.
-
-    Sizes follow the largest-remainder rule, so they sum exactly to the
-    dataset size; a nonzero fraction that would round to an empty split is
-    a configuration error.
-    """
+def split_sizes(n: int, fractions) -> list[int]:
+    """Train/dev/test sizes of n examples by the largest-remainder rule, so
+    they sum exactly to n; a nonzero fraction that would round to an empty
+    split is a configuration error."""
     fractions = [float(f) for f in fractions]
     if len(fractions) != 3:
         raise ConfigError(f"need exactly 3 fractions, got {len(fractions)}")
     if any(f < 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigError(f"fractions must be nonnegative and sum to 1: {fractions}")
-    n = len(dataset)
     raw = [f * n for f in fractions]
     sizes = [int(np.floor(r)) for r in raw]
     remainders = [(r - s, -i) for i, (r, s) in enumerate(zip(raw, sizes))]
@@ -142,6 +140,13 @@ def split(dataset: Dataset, fractions, seed: int) -> tuple[Dataset, Dataset, Dat
     for frac, size, tag in zip(fractions, sizes, (SPLIT_TRAIN, SPLIT_DEV, SPLIT_TEST)):
         if frac > 0 and size == 0:
             raise ConfigError(f"{tag} fraction {frac} yields an empty split for n={n}")
+    return sizes
+
+
+def split(dataset: Dataset, fractions, seed: int) -> tuple[Dataset, Dataset, Dataset]:
+    """Deterministic shuffled partition into train/dev/test by split_sizes."""
+    n = len(dataset)
+    sizes = split_sizes(n, fractions)
     order = RngState(seed).derive("split").permutation(n)
     out = []
     offset = 0

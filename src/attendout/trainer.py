@@ -34,6 +34,8 @@ from .config import (
     TASK_BRACKETS,
     TASK_MAJORITY,
     TrainConfig,
+    eval_slice_size,
+    model_config,
 )
 from .models import (
     GeneratorConfig,
@@ -236,47 +238,34 @@ def _update_on_batch(params, batch, lr, opt_state, item_masks=None, skip_blocks=
 
 
 @dataclass
-class DropoutStepLedger:
-    """Per-window state: the (tokens, MaskDecision) pairs the generator
-    update reads, one list per optimizer step."""
-
-    decisions: list = field(default_factory=list)
-
-    @property
-    def steps_taken(self) -> int:
-        return len(self.decisions)
-
-    def release(self) -> None:
-        self.decisions.clear()
-
-
-@dataclass
 class AttendOutGame:
+    """decisions holds the open window's (tokens, MaskDecision) pairs;
+    windows_done counts finished windows, one generator update each."""
+
     defender: TaskModelParams
     attacker: TaskModelParams
     generator: GeneratorParams
     opt_defender: OptimizerState
     opt_attacker: OptimizerState
-    ledger: DropoutStepLedger
     baseline: Baseline
     eval_pool: list
     policy_rng: RngState
     eval_rng: RngState
     sync_rng: RngState
+    decisions: list = field(default_factory=list)
     windows_done: int = 0
-    g_updates: int = 0
     boundary_identical: bool = True
 
 
 def dropout_step(game: AttendOutGame, stream: BatchStream, cfg: TrainConfig):
     """Run one window of up to T inner steps plus, when the window fills,
-    the evaluate / reward / generator-update / release / re-sync tail.
+    the evaluate / reward / generator-update / re-sync tail.
 
     Returns the metrics rows produced. A window cut short by the end of the
     training budget performs no generator update (the epoch-boundary signal
-    is not an error), but still releases its cache.
+    is not an error). Either way the window's decisions are released.
     """
-    if game.ledger.decisions:
+    if game.decisions:
         raise ContractViolation("dropout step started with a non-empty cache")
     num_layers = game.defender.config.num_layers
     rows = []
@@ -296,36 +285,31 @@ def dropout_step(game: AttendOutGame, stream: BatchStream, cfg: TrainConfig):
         loss_a = _update_on_batch(
             game.attacker, batch, cfg.lr, game.opt_attacker, item_masks
         )
-        game.ledger.decisions.append(step_decisions)
+        game.decisions.extend(step_decisions)
 
         rows.append({
             "step": step, "epoch": epoch, "method": cfg.method,
             "loss_D": loss_d, "loss_A": loss_a,
         })
 
-    if game.ledger.steps_taken == cfg.dropout_step:
+    if len(rows) == cfg.dropout_step:
         draw = game.eval_rng.derive(game.windows_done)
         idx = draw.choice_without_replacement(len(game.eval_pool), cfg.dropout_step)
         samples = [game.eval_pool[i] for i in idx]
         eval_d = evaluate(game.defender, samples)
         eval_a = evaluate(game.attacker, samples)
 
-        flat = [pair for group in game.ledger.decisions for pair in group]
-        rewards = compute_rewards(eval_a, eval_d, len(flat), cfg.reward)
+        rewards = compute_rewards(eval_a, eval_d, cfg.reward)
         game.baseline = update_baseline(game.baseline, rewards)
-        reinforce_update(game.generator, flat, rewards, game.baseline, cfg.gnet_lr)
-        game.g_updates += 1
+        reinforce_update(game.generator, game.decisions, rewards, game.baseline, cfg.gnet_lr)
 
-        layer_probs = np.mean(
-            [pair[1].layer_mean_prob for pair in flat], axis=0
-        )
+        layer_probs = np.mean([d.layer_mean_prob for _, d in game.decisions], axis=0)
         rows[-1].update({
             "eval_D": eval_d, "eval_A": eval_a,
-            "reward_mean": rewards.mean, "baseline": game.baseline.value,
+            "reward_mean": rewards.reward, "baseline": game.baseline.value,
             "drop_prob": [float(v) for v in layer_probs],
         })
 
-        game.ledger.release()
         game.defender, game.attacker, source = sync_models(
             game.defender, game.attacker, eval_d, eval_a, game.sync_rng
         )
@@ -334,9 +318,7 @@ def dropout_step(game: AttendOutGame, stream: BatchStream, cfg: TrainConfig):
         game.opt_attacker = _copy_opt_state(src_state)
         game.boundary_identical &= ptree.trees_equal(game.defender, game.attacker)
         game.windows_done += 1
-    else:
-        game.ledger.release()
-
+    game.decisions.clear()
     return rows
 
 
@@ -363,14 +345,6 @@ def _generate_dataset(cfg: TrainConfig) -> tasks.Dataset:
     raise ConfigError(f"unknown task {cfg.task!r}")
 
 
-def _model_config(cfg: TrainConfig, num_classes: int) -> ModelConfig:
-    return ModelConfig(
-        vocab_size=cfg.vocab, max_len=cfg.seq_len, num_layers=cfg.layers,
-        d_model=cfg.d_model, d_ff=cfg.d_ff, num_heads=cfg.heads,
-        num_classes=num_classes,
-    )
-
-
 def _build_schedule(cfg: TrainConfig) -> Schedule:
     if cfg.schedule_file is not None:
         return load_schedule_file(cfg.schedule_file, cfg.layers)
@@ -382,7 +356,7 @@ def train(config: TrainConfig) -> TrainResult:
     full = _generate_dataset(config)
     fractions = (config.train_fraction, config.dev_fraction, config.test_fraction)
     train_ds, dev_ds, test_ds = tasks.split(full, fractions, config.seed)
-    mcfg = _model_config(config, full.num_classes)
+    mcfg = model_config(config)
     root = RngState(config.seed)
 
     if config.method == METHOD_ATTENDOUT:
@@ -448,14 +422,9 @@ def _train_attendout(cfg: TrainConfig, mcfg: ModelConfig, train_ds, dev_ds, root
     if cfg.eval_pool == "dev":
         eval_pool = list(dev_ds.examples)
     else:
-        held = max(1, int(len(train_examples) * cfg.eval_slice_fraction))
+        held = eval_slice_size(len(train_examples), cfg.eval_slice_fraction)
         eval_pool = train_examples[-held:]
         train_examples = train_examples[:-held]
-    if len(eval_pool) < cfg.dropout_step:
-        raise ConfigError(
-            f"evaluation pool of {len(eval_pool)} cannot cover T={cfg.dropout_step}"
-        )
-
     defender = init_task_model(mcfg, cfg.seed)
     attacker = ptree.copy_tree(defender)
     generator = init_generator(
@@ -465,7 +434,6 @@ def _train_attendout(cfg: TrainConfig, mcfg: ModelConfig, train_ds, dev_ds, root
         defender=defender, attacker=attacker, generator=generator,
         opt_defender=OptimizerState(cfg.opt_algo, cfg.momentum),
         opt_attacker=OptimizerState(cfg.opt_algo, cfg.momentum),
-        ledger=DropoutStepLedger(),
         baseline=Baseline(decay=cfg.baseline_decay),
         eval_pool=eval_pool,
         policy_rng=root.derive("policy"),
@@ -482,7 +450,7 @@ def _train_attendout(cfg: TrainConfig, mcfg: ModelConfig, train_ds, dev_ds, root
         before = game.windows_done
         rows = dropout_step(game, stream, cfg)
         metrics.extend(rows)
-        if game.windows_done > before and rows and "drop_prob" in rows[-1]:
+        if game.windows_done > before:
             for layer, prob in enumerate(rows[-1]["drop_prob"]):
                 mask_trace.append((before, layer, prob))
 
@@ -495,9 +463,9 @@ def _train_attendout(cfg: TrainConfig, mcfg: ModelConfig, train_ds, dev_ds, root
         dev_accuracy,
         extra={
             "total_steps": stream.total_steps,
-            "g_updates": game.g_updates,
+            "g_updates": game.windows_done,
             "boundary_identical": game.boundary_identical,
-            "cache_empty": game.ledger.steps_taken == 0,
+            "cache_empty": not game.decisions,
             "attacker_dev_accuracy": attacker_accuracy,
         },
     )

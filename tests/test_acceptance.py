@@ -212,7 +212,7 @@ def test_criterion_5_baseline_variance_and_mean():
             reward = reward_fn(decision.masks)
             if with_baseline:
                 advantage = (reward - baseline.value) if baseline.initialized else 0.0
-                record = compute_rewards(reward, 0.0, 1, "gap")
+                record = compute_rewards(reward, 0.0, "gap")
                 baseline = update_baseline(baseline, record)
             else:
                 advantage = reward

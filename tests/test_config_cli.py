@@ -168,8 +168,14 @@ SCHEDULED_2_LAYERS = (MINIMAL.replace("method = none", "method = scheduled")
     MINIMAL.replace("task = majority_token", "task = balanced_brackets")
            .replace("vocab = 6", "vocab = 3"),
     SCHEDULED_2_LAYERS + "\n[scheduled]\np0 = 0.1\nslope = 0.0, 0.0, 0.0\n",
+    ATTENDOUT_CFG.replace("train_fraction = 0.6", "train_fraction = 0.7"),
+    ATTENDOUT_CFG.replace("heads = 1", "heads = 3"),
+    ATTENDOUT_CFG.replace("dev_fraction = 0.2", "dev_fraction = 0.01")
+                 .replace("test_fraction = 0.2", "test_fraction = 0.19"),
+    MINIMAL.replace("vocab = 6", "vocab = 2"),
 ], ids=["baseline_decay", "gnet_dim", "eval_slice_fraction", "brackets_even_seq_len",
-        "scheduled_slope_count"])
+        "scheduled_slope_count", "fraction_sum", "heads", "eval_pool_below_T",
+        "majority_vocab"])
 def test_cmd_train_bad_value_fails_before_run_dir(tmp_path, capsys, text):
     cfg_path = _write(tmp_path, "bad.ini", text)
     out = tmp_path / "out"

@@ -50,32 +50,36 @@ def _random_reward_table(seed=77):
 
 
 def test_rewards_attacker_wins():
-    rec = compute_rewards(0.8, 0.7, 4)
-    assert rec.per_sample.tolist() == [1.0, 1.0, 1.0, 1.0]
+    rec = compute_rewards(0.8, 0.7)
+    assert rec.reward == 1.0
     assert rec.win == WIN_ATTACKER
 
 
 def test_rewards_tie():
-    rec = compute_rewards(0.5, 0.5, 3)
-    assert rec.per_sample.tolist() == [0.0, 0.0, 0.0]
+    rec = compute_rewards(0.5, 0.5)
+    assert rec.reward == 0.0
     assert rec.win == WIN_TIE
 
 
 def test_rewards_defender_wins():
-    rec = compute_rewards(0.6, 0.9, 2)
-    assert rec.per_sample.tolist() == [-1.0, -1.0]
+    rec = compute_rewards(0.6, 0.9)
+    assert rec.reward == -1.0
     assert rec.win == WIN_DEFENDER
 
 
 def test_rewards_gap_scheme():
-    rec = compute_rewards(0.75, 0.5, 2, scheme="gap")
-    assert np.abs(rec.per_sample - 0.25).max() <= 1e-15
+    rec = compute_rewards(0.75, 0.5, scheme="gap")
+    assert abs(rec.reward - 0.25) <= 1e-15
     assert rec.win == WIN_ATTACKER
+
+
+def test_rewards_gap_is_exact_outcome():
+    assert compute_rewards(0.75, 0.5, "gap").reward == 0.25
 
 
 def test_rewards_validate_scores():
     with pytest.raises(ValueError):
-        compute_rewards(1.2, 0.5, 1)
+        compute_rewards(1.2, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -84,20 +88,20 @@ def test_rewards_validate_scores():
 
 
 def test_baseline_initializes_to_first_mean():
-    b = update_baseline(Baseline(decay=0.9), compute_rewards(1.0, 0.0, 5))
+    b = update_baseline(Baseline(decay=0.9), compute_rewards(1.0, 0.0))
     assert b.value == 1.0 and b.initialized
 
 
 def test_baseline_one_step_recurrence():
     b = Baseline(0.0, 0.9, True)
-    b = update_baseline(b, compute_rewards(1.0, 0.0, 5))
+    b = update_baseline(b, compute_rewards(1.0, 0.0))
     assert abs(b.value - 0.1) <= 1e-15
 
 
 def test_baseline_geometric_convergence():
     b = Baseline(0.0, 0.9, True)
     c = -1.0
-    rec = compute_rewards(0.2, 0.9, 3)  # constant mean reward -1
+    rec = compute_rewards(0.2, 0.9)  # constant reward -1
     for _ in range(100):
         b = update_baseline(b, rec)
     assert abs(b.value - c) <= abs(c) * (0.9 ** 100 + 1e-12)
@@ -118,7 +122,7 @@ def test_zero_advantage_leaves_params_bitwise():
     before = ptree.copy_tree(g)
     rng = nk.RngState(1)
     decisions = [(TOY_TOKENS, gnet_sample_masks(g, TOY_TOKENS, 1, rng)) for _ in range(3)]
-    rewards = compute_rewards(0.7, 0.7, 3)  # ties: all zero
+    rewards = compute_rewards(0.7, 0.7)  # tie: zero reward
     reinforce_update(g, decisions, rewards, Baseline(0.0, 0.9, True), lr=1.0)
     assert ptree.trees_equal(g, before)
 
@@ -131,16 +135,38 @@ def test_single_decision_update_direction():
     for reward, sign in ((1.0, 1.0), (-1.0, -1.0)):
         probe = ptree.copy_tree(g)
         rewards = compute_rewards(1.0 if reward > 0 else 0.0,
-                                  0.0 if reward > 0 else 1.0, 1)
+                                  0.0 if reward > 0 else 1.0)
         reinforce_update(probe, [(TOY_TOKENS, decision)], rewards,
                          Baseline(0.0, 0.9, True), lr=0.5)
         delta = ptree.flatten(probe) - ptree.flatten(g)
         assert np.abs(delta - 0.5 * sign * grad).max() <= 1e-15
 
 
+def test_two_step_update_matches_per_decision_arithmetic():
+    g = _toy_generator()
+    rng = nk.RngState(3)
+    steps = [[np.array([1, 3]), np.array([2, 4])], [np.array([4, 1]), np.array([3, 3])]]
+    decisions = [(tokens, gnet_sample_masks(g, tokens, 2, rng))
+                 for batch in steps for tokens in batch]
+    rewards = compute_rewards(0.75, 0.5)
+    baseline = Baseline(0.25, 0.9, True)
+    lr = 0.3
+    # one reward copy per decision, one advantage each, one add_scaled per
+    # tree, then the lr step
+    expected = ptree.copy_tree(g)
+    total = ptree.zeros_like(g)
+    for (tokens, decision), r in zip(decisions, np.full(len(decisions), 1.0)):
+        advantage = float(r) - baseline.value
+        ptree.add_scaled(total, gnet_logprob_backward(g, tokens, decision), advantage)
+    ptree.add_scaled(expected, total, lr)
+    reinforce_update(g, decisions, rewards, baseline, lr)
+    assert not np.array_equal(g.flat, _toy_generator().flat)
+    assert np.array_equal(g.flat, expected.flat)
+
+
 def test_length_mismatch_rejected():
     g = _toy_generator()
-    rewards = compute_rewards(1.0, 0.0, 2)
+    rewards = compute_rewards(1.0, 0.0)
     with pytest.raises(nk.ContractViolation):
         reinforce_update(g, [], rewards, Baseline(), lr=0.1)
 

@@ -23,7 +23,6 @@ from attendout.tasks import gen_majority_token, split
 from attendout.trainer import (
     AttendOutGame,
     BatchStream,
-    DropoutStepLedger,
     OptimizerState,
     dropout_step,
     evaluate,
@@ -377,7 +376,6 @@ def _fresh_game(cfg, generator=None, seed=None):
             dim=cfg.d_model // 2, vocab=cfg.vocab),
         opt_defender=OptimizerState(cfg.opt_algo, cfg.momentum),
         opt_attacker=OptimizerState(cfg.opt_algo, cfg.momentum),
-        ledger=DropoutStepLedger(),
         baseline=Baseline(decay=0.9),
         eval_pool=list(dev_ds.examples),
         policy_rng=root.derive("policy"),
@@ -417,26 +415,39 @@ def test_dropout_step_unit_window_counts():
     rows = dropout_step(game, stream, cfg)
     assert len(rows) == 1
     assert "eval_D" in rows[0] and "eval_A" in rows[0]
-    assert game.g_updates == 1
-    assert game.ledger.steps_taken == 0  # released
+    assert game.windows_done == 1
+    assert game.decisions == []  # released
 
 
 def test_dropout_step_requires_fresh_ledger():
     cfg = _attendout_cfg(seed=4, epochs=1, T=2)
     game, stream = _fresh_game(cfg)
-    game.ledger.decisions.append([("junk", None)])
+    game.decisions.append(("junk", None))
     with pytest.raises(ContractViolation):
         dropout_step(game, stream, cfg)
 
 
 def test_dropout_step_partial_window_skips_generator_update():
-    cfg = _attendout_cfg(seed=5, epochs=1, T=100)  # T far beyond the budget
+    # T beyond the 8-step budget; the 36-example dev pool still covers it
+    cfg = _attendout_cfg(seed=5, epochs=1, T=20)
     game, stream = _fresh_game(cfg)
     rows = dropout_step(game, stream, cfg)
-    assert 0 < len(rows) < 100
-    assert game.g_updates == 0
+    assert 0 < len(rows) < 20
+    assert game.windows_done == 0
     assert all("eval_D" not in row for row in rows)
-    assert game.ledger.steps_taken == 0  # cache still released
+    assert game.decisions == []  # cache still released
+
+
+def test_dropout_step_clears_decisions_after_full_and_partial_windows():
+    cfg = _attendout_cfg(seed=5, epochs=1, T=3)
+    game, stream = _fresh_game(cfg)
+    assert stream.total_steps == 8  # windows of 3, 3 and a partial 2
+    window_sizes = []
+    while stream.remaining > 0:
+        window_sizes.append(len(dropout_step(game, stream, cfg)))
+        assert game.decisions == []
+    assert window_sizes == [3, 3, 2]
+    assert game.windows_done == 2
 
 
 # ---------------------------------------------------------------------------
