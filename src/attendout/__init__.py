@@ -36,7 +36,6 @@ from .numkernel import (
     NEG_INF,
     ConfigError,
     ContractViolation,
-    DegenerateRowError,
     DivergenceError,
     OracleError,
     RngState,
@@ -55,7 +54,6 @@ from .policygrad import (
 )
 from .regularizers import (
     Schedule,
-    attn_layerdrop_decision,
     layerdrop_decision,
     schedule_probability,
     vanilla_attention_mask,

@@ -1,8 +1,8 @@
-"""One self-attention block, forward and analytic backward, with four
-dropout modes on the attention matrix.
+"""One self-attention block, forward and analytic backward, with no mask
+or one of three dropout modes on the attention matrix.
 
 Modes:
-  NONE        plain scaled dot-product attention.
+  None        (no mask) plain scaled dot-product attention.
   WEIGHTS     a binary mask multiplies the post-softmax weights. Kept rows
               simply sum to less than one unless the mask carries an
               inverted-dropout rescale, applied after the mask.
@@ -15,7 +15,8 @@ Modes:
 
 A MaskMatrix is the only way a mask reaches a layer: one is shared across
 all heads of a layer, so the decision space is the L x L attention matrix
-of the layer, not per head.
+of the layer, not per head. A MaskMatrix checks its entries once, when it
+is built, so a layer only matches their side to the sequence length.
 """
 
 from __future__ import annotations
@@ -30,29 +31,48 @@ from .numkernel import NEG_INF, ContractViolation, ShapeError, softmax_rows
 
 
 class MaskMode(enum.Enum):
-    NONE = "none"
     WEIGHTS = "weights"
     SCORES = "scores"
     ALL_DROPPED = "all_dropped"
 
 
-@dataclass
+@dataclass(frozen=True)
 class MaskMatrix:
-    """Per-layer dropout mask for one sample.
+    """Per-layer dropout mask for one sample; None, not a MaskMatrix, means
+    no mask.
 
     entries is L x L and binary {0,1} in WEIGHTS mode (1 = keep), or
-    {0, NEG_INF} in SCORES mode (NEG_INF = dropped). NONE and ALL_DROPPED
-    carry no entries. rescale, WEIGHTS mode only, multiplies the masked
-    weights (inverted dropout).
+    {0, NEG_INF} in SCORES mode (NEG_INF = dropped) with at least one kept
+    unit per row, since a fully dropped row has no softmax. ALL_DROPPED
+    carries no entries. rescale, WEIGHTS mode only, multiplies the masked
+    weights (inverted dropout). Construction raises ContractViolation on
+    entries that break these rules.
     """
 
     mode: MaskMode
     entries: np.ndarray | None = None
     rescale: float | None = None
 
-    @staticmethod
-    def none() -> "MaskMatrix":
-        return MaskMatrix(MaskMode.NONE)
+    def __post_init__(self):
+        e = self.entries
+        if self.mode is MaskMode.ALL_DROPPED:
+            if e is not None:
+                raise ContractViolation("an ALL_DROPPED mask carries no entries")
+            return
+        if e is None or e.ndim != 2 or e.shape[0] != e.shape[1]:
+            shape = None if e is None else e.shape
+            raise ContractViolation(f"{self.mode} mask entries must be square, got {shape}")
+        if self.mode is MaskMode.WEIGHTS:
+            if not np.all((e == 0.0) | (e == 1.0)):
+                raise ContractViolation("WEIGHTS mask entries must be in {0, 1}")
+            return
+        dropped = e == NEG_INF
+        if not np.all(dropped | (e == 0.0)):
+            raise ContractViolation("SCORES mask entries must be in {0, NEG_INF}")
+        if np.any(dropped.all(axis=1)):
+            raise ContractViolation(
+                "SCORES mask has a fully dropped row; use MaskMode.ALL_DROPPED"
+            )
 
     @staticmethod
     def all_dropped() -> "MaskMatrix":
@@ -63,25 +83,21 @@ class MaskMatrix:
         return MaskMatrix(MaskMode.WEIGHTS, np.asarray(keep, dtype=np.float64), rescale)
 
     @staticmethod
-    def scores_from_drop_bits(bits: np.ndarray) -> "MaskMatrix":
-        entries = np.where(np.asarray(bits) != 0, NEG_INF, 0.0)
-        return MaskMatrix(MaskMode.SCORES, entries)
-
-    @staticmethod
     def from_drop_bits(bits: np.ndarray) -> "MaskMatrix":
         """Build a SCORES mask from drop bits (1 = drop), escalating to
-        ALL_DROPPED when the whole matrix is dropped.
+        ALL_DROPPED when any row is fully dropped.
 
         A row with every unit dropped cannot be expressed in SCORES mode
-        (its softmax is undefined), so such a mask also escalates the whole
+        (its softmax is undefined), so such a mask escalates the whole
         layer to the constant-attention path.
         """
         bits = np.asarray(bits)
         if bits.ndim != 2 or bits.shape[0] != bits.shape[1]:
             raise ShapeError(f"drop bits must be square, got {bits.shape}")
-        if np.all(bits != 0) or np.any(np.all(bits != 0, axis=1)):
+        dropped = bits != 0
+        if np.any(dropped.all(axis=1)):
             return MaskMatrix.all_dropped()
-        return MaskMatrix.scores_from_drop_bits(bits)
+        return MaskMatrix(MaskMode.SCORES, np.where(dropped, NEG_INF, 0.0))
 
 
 @dataclass
@@ -119,7 +135,7 @@ class AttentionParams(ptree.ParamTree):
 class AttentionCache:
     """Forward intermediates needed by attn_backward."""
 
-    mask: MaskMatrix
+    mask: MaskMatrix | None
     params: AttentionParams
     x: np.ndarray
     pre: np.ndarray                      # L x d_model, input to w_o
@@ -144,27 +160,6 @@ def _merge_heads(t: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(t.transpose(1, 0, 2).reshape(length, num_heads * d_k))
 
 
-def _validate_mask(mask: MaskMatrix, length: int) -> None:
-    if mask.mode in (MaskMode.NONE, MaskMode.ALL_DROPPED):
-        if mask.entries is not None:
-            raise ContractViolation(f"{mask.mode} mask must not carry entries")
-        return
-    e = mask.entries
-    if e is None or e.shape != (length, length):
-        shape = None if e is None else e.shape
-        raise ShapeError(f"mask entries must be {length}x{length}, got {shape}")
-    if mask.mode is MaskMode.WEIGHTS:
-        if not np.all((e == 0.0) | (e == 1.0)):
-            raise ContractViolation("WEIGHTS mask entries must be in {0, 1}")
-    else:
-        if not np.all((e == 0.0) | (e == NEG_INF)):
-            raise ContractViolation("SCORES mask entries must be in {0, NEG_INF}")
-        if np.any(np.all(e == NEG_INF, axis=1)):
-            raise ContractViolation(
-                "SCORES mask has a fully dropped row; use MaskMode.ALL_DROPPED"
-            )
-
-
 def constant_attention(v: np.ndarray) -> np.ndarray:
     """Attention output, before the output projection, when every unit is
     dropped.
@@ -181,17 +176,18 @@ def constant_attention(v: np.ndarray) -> np.ndarray:
 
 def attn_forward(x: np.ndarray, params: AttentionParams,
                  mask: MaskMatrix | None = None) -> tuple[np.ndarray, AttentionCache]:
-    """Run one attention layer under the given dropout mask (None = NONE)."""
+    """Run one attention layer under the given dropout mask (None: no mask)."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ShapeError(f"input must be L x d_model with L >= 1, got {x.shape}")
     length, d = x.shape
     if d != params.d_model:
         raise ShapeError(f"input width {d} != d_model {params.d_model}")
-    mask = MaskMatrix.none() if mask is None else mask
-    _validate_mask(mask, length)
+    mode, entries = (None, None) if mask is None else (mask.mode, mask.entries)
+    if entries is not None and entries.shape != (length, length):
+        raise ShapeError(f"mask entries must be {length}x{length}, got {entries.shape}")
 
-    if mask.mode is MaskMode.ALL_DROPPED:
+    if mode is MaskMode.ALL_DROPPED:
         v = x @ params.w_v
         pre = constant_attention(v)
         y = pre @ params.w_o
@@ -202,16 +198,16 @@ def attn_forward(x: np.ndarray, params: AttentionParams,
     kh = _split_heads(x @ params.w_k, num_heads)
     vh = _split_heads(x @ params.w_v, num_heads)
     scores = qh @ kh.transpose(0, 2, 1) / np.sqrt(d_k)
-    if mask.mode is MaskMode.SCORES:
-        scores = scores + mask.entries[None, :, :]
+    if mode is MaskMode.SCORES:
+        scores = scores + entries[None, :, :]
 
     attn = softmax_rows(scores.reshape(num_heads * length, length)).reshape(
         num_heads, length, length
     )
 
     attn_used = None
-    if mask.mode is MaskMode.WEIGHTS:
-        attn_used = attn * mask.entries[None, :, :]
+    if mode is MaskMode.WEIGHTS:
+        attn_used = attn * entries[None, :, :]
         if mask.rescale is not None:
             attn_used = attn_used * mask.rescale
 
@@ -241,7 +237,8 @@ def attn_backward(cache: AttentionCache, dy: np.ndarray, grads: AttentionParams,
         raise ShapeError(f"dy shape {dy.shape} does not match output {(length, d)}")
 
     mask = cache.mask
-    if mask.mode is MaskMode.ALL_DROPPED:
+    mode = None if mask is None else mask.mode
+    if mode is MaskMode.ALL_DROPPED:
         if dscores_extra is not None:
             raise ContractViolation("no score matrix exists on the all-dropped path")
         dpre = dy @ params.w_o.T
@@ -260,7 +257,7 @@ def attn_backward(cache: AttentionCache, dy: np.ndarray, grads: AttentionParams,
     dvh = attn_used.transpose(0, 2, 1) @ dout_h
 
     d_attn = d_attn_used
-    if mask.mode is MaskMode.WEIGHTS:
+    if mode is MaskMode.WEIGHTS:
         d_attn = d_attn_used * mask.entries[None, :, :]
         if mask.rescale is not None:
             d_attn = d_attn * mask.rescale

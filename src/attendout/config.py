@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .models import ModelConfig
 from .numkernel import ConfigError, ShapeError
+from .regularizers import load_schedule_file
 from .tasks import NUM_CLASSES, split_sizes
 
 METHOD_NONE = "none"
@@ -304,6 +305,8 @@ def _validate(cfg: TrainConfig) -> None:
                 raise ConfigError(
                     f"[scheduled] {name} needs 1 or {cfg.layers} values, got {len(vals)}"
                 )
+        if cfg.schedule_file is not None:
+            load_schedule_file(cfg.schedule_file, cfg.layers)
 
 
 def load_config(path) -> TrainConfig:

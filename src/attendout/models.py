@@ -420,26 +420,26 @@ def _logprob_score_grads(scores, masks, tau: float):
     return out
 
 
-def gnet_backward_from_score_grads(gparams: GeneratorParams, tokens, caches,
-                                   dscores_list) -> GeneratorParams:
+def gnet_backward_from_score_grads(tokens, caches, dscores_list,
+                                   grads: GeneratorParams) -> None:
     """Reverse through the unrolled shared-attention stack, and into the
     embeddings of tokens, given per-layer gradients on the pre-softmax
-    scores; returns the parameter grads. The backward map is linear in the
+    scores; the parameter gradients are added into grads, a caller-owned
+    tree shaped like the generator. The backward map is linear in the
     injected score gradients, which the enumeration oracle exploits."""
     tokens_len, dim = caches[0].x.shape
-    grads = ptree.zeros_like(gparams)
     dh = np.zeros((tokens_len, dim))
     for cache, ds in zip(reversed(caches), reversed(dscores_list)):
         dh = attn_backward(cache, dh, grads.attn, dscores_extra=ds)
     np.add.at(grads.token_embedding, tokens, dh)
-    return grads
 
 
 def gnet_logprob_backward(gparams: GeneratorParams, tokens,
-                          decision: MaskDecision) -> GeneratorParams:
+                          decision: MaskDecision, grads: GeneratorParams) -> None:
     """Gradient of the decision's normalized logprob with respect to the
-    generator parameters. Raises if the decision's stored logprob no longer
-    matches these parameters (stale decision)."""
+    generator parameters, added into grads (a caller-owned tree shaped like
+    gparams). Raises if the decision's stored logprob no longer matches
+    these parameters (stale decision)."""
     scores, caches, tokens = gnet_scores(gparams, tokens, len(decision.masks))
     recomputed = _normalized_logprob(scores, decision.masks, gparams.tau)
     if abs(recomputed - decision.logprob) > 1e-9:
@@ -448,7 +448,7 @@ def gnet_logprob_backward(gparams: GeneratorParams, tokens,
             f"recomputed {recomputed}"
         )
     dscores = _logprob_score_grads(scores, decision.masks, gparams.tau)
-    return gnet_backward_from_score_grads(gparams, tokens, caches, dscores)
+    gnet_backward_from_score_grads(tokens, caches, dscores, grads)
 
 
 # ---------------------------------------------------------------------------

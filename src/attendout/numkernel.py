@@ -14,20 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 # Pre-softmax drop sentinel. A large finite negative rather than IEEE -inf,
-# so max-subtraction softmax can never produce inf - inf = NaN.
+# so max-subtraction softmax can never produce inf - inf = NaN; in a row
+# with any kept unit, exp(NEG_INF - rowmax) underflows to exactly 0.
 NEG_INF = -1e30
-
-# Entries at or below this are treated as dropped by softmax_rows.
-_DROPPED_CUTOFF = -1e29
 
 
 class ShapeError(ValueError):
     """Operand dimensions do not line up."""
-
-
-class DegenerateRowError(ValueError):
-    """A softmax row has every unit dropped; such rows must be rerouted
-    through the constant-attention path instead."""
 
 
 class OracleError(RuntimeError):
@@ -185,21 +178,15 @@ class RngState:
 
 
 def softmax_rows(m: np.ndarray) -> np.ndarray:
-    """Row softmax with max subtraction; sentinel entries become exactly 0.
+    """Row softmax with max subtraction.
 
-    A row whose entries are all dropped has no defined softmax here: that is
-    the constant-attention case and raising keeps callers honest about it.
+    NEG_INF entries come out as exactly 0 in any row that keeps a unit;
+    MaskMatrix rules out a fully dropped row when the mask is built.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ShapeError(f"softmax_rows needs a 2-D input, got shape {m.shape}")
-    dropped = m <= _DROPPED_CUTOFF
-    if np.any(dropped.all(axis=1)):
-        rows = np.flatnonzero(dropped.all(axis=1))
-        raise DegenerateRowError(f"row(s) {rows.tolist()} have every unit dropped")
-    shifted = m - m.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    e[dropped] = 0.0
+    e = np.exp(m - m.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
 
 

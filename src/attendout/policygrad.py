@@ -100,8 +100,12 @@ def reinforce_update(gparams: GeneratorParams, decisions, rewards: RewardRecord,
     if advantage == 0.0:
         return gparams
     total = ptree.zeros_like(gparams)
+    grad = ptree.zeros_like(gparams)
     for tokens, decision in decisions:
-        grad = gnet_logprob_backward(gparams, tokens, decision)
+        # each decision's gradient is summed alone before it is scaled into
+        # total, so the float order matches one fresh tree per decision
+        grad.flat.fill(0.0)
+        gnet_logprob_backward(gparams, tokens, decision, grad)
         ptree.add_scaled(total, grad, advantage)
     ptree.add_scaled(gparams, total, lr)
     return gparams
@@ -144,4 +148,6 @@ def expected_reward_oracle(gparams: GeneratorParams, tokens, num_layers: int,
         d_units[i * length * length:(i + 1) * length * length].reshape(length, length)
         for i in range(num_layers)
     ]
-    return expected, gnet_backward_from_score_grads(gparams, tokens, caches, dscores)
+    grads = ptree.zeros_like(gparams)
+    gnet_backward_from_score_grads(tokens, caches, dscores, grads)
+    return expected, grads

@@ -41,15 +41,12 @@ def vanilla_attention_mask(length: int, p: float, rng: RngState,
 
 
 def layerdrop_decision(num_blocks: int, p: float, rng: RngState) -> np.ndarray:
-    """Per-block skip bits: a set bit passes the whole encoder block through
-    as identity (the residual stream survives untouched)."""
+    """Per-block Bernoulli(p) bits. For layerdrop a set bit passes the whole
+    encoder block through as identity (the residual stream survives
+    untouched); for attn_layerdrop it replaces only the attention sublayer
+    with the constant path, while feed-forward, residuals and layer norms
+    still run."""
     return bernoulli_array(p, (num_blocks,), rng)
-
-
-def attn_layerdrop_decision(num_layers: int, p: float, rng: RngState) -> np.ndarray:
-    """Per-layer bits replacing only the attention sublayer with the
-    constant path; feed-forward, residuals and layer norms still run."""
-    return bernoulli_array(p, (num_layers,), rng)
 
 
 @dataclass

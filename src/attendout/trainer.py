@@ -64,7 +64,6 @@ from .policygrad import (
 )
 from .regularizers import (
     Schedule,
-    attn_layerdrop_decision,
     layerdrop_decision,
     load_schedule_file,
     schedule_probability,
@@ -401,8 +400,8 @@ def _train_single(cfg: TrainConfig, mcfg: ModelConfig, train_ds, dev_ds, root):
             skips = layerdrop_decision(cfg.layers, cfg.p, mask_rng)
             row["drop_prob"] = [cfg.p] * cfg.layers
         elif cfg.method == METHOD_ATTN_LAYERDROP:
-            bits = attn_layerdrop_decision(cfg.layers, cfg.p, mask_rng)
-            layer_masks = [MaskMatrix.all_dropped() if b else MaskMatrix.none() for b in bits]
+            bits = layerdrop_decision(cfg.layers, cfg.p, mask_rng)
+            layer_masks = [MaskMatrix.all_dropped() if b else None for b in bits]
             item_masks = [layer_masks] * len(batch)
             row["drop_prob"] = [cfg.p] * cfg.layers
         elif cfg.method != METHOD_NONE:

@@ -3,7 +3,8 @@ import pytest
 
 from attendout import ptree
 from attendout.attention import AttentionParams
-from attendout.numkernel import RngState, log_sigmoid
+from attendout.models import gnet_logprob_backward
+from attendout.numkernel import RngState, ShapeError, log_sigmoid
 
 
 def rand_attention(seed: int, d: int = 8, heads: int = 2, scale: float = 0.5) -> AttentionParams:
@@ -34,9 +35,33 @@ def tree_finite_diff(params, objective, h: float = 1e-5):
     return finite_diff_grad(flat_objective, ptree.flatten(params), h)
 
 
+def logprob_grad(gparams, tokens, decision):
+    """A decision's logprob gradient in a fresh tree of its own."""
+    grads = ptree.zeros_like(gparams)
+    gnet_logprob_backward(gparams, tokens, decision, grads)
+    return grads
+
+
 @pytest.fixture
 def rng():
     return RngState(12345)
+
+
+def softmax_rows_reference(m: np.ndarray) -> np.ndarray:
+    """Row softmax that zeroes dropped entries itself: entries at or below
+    -1e29 count as dropped and a fully dropped row raises. numkernel's
+    plain softmax_rows must match it bit for bit on rows that keep a unit."""
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2:
+        raise ShapeError(f"softmax_rows needs a 2-D input, got shape {m.shape}")
+    dropped = m <= -1e29
+    if np.any(dropped.all(axis=1)):
+        rows = np.flatnonzero(dropped.all(axis=1))
+        raise ValueError(f"row(s) {rows.tolist()} have every unit dropped")
+    shifted = m - m.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    e[dropped] = 0.0
+    return e / e.sum(axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------

@@ -23,16 +23,15 @@ from attendout.config import parse_config_text
 from attendout.models import (
     GeneratorConfig,
     ModelConfig,
-    gnet_logprob_backward,
     gnet_sample_masks,
     init_generator,
     init_task_model,
     task_forward,
 )
 from attendout.policygrad import Baseline, expected_reward_oracle, update_baseline, compute_rewards
-from attendout.regularizers import attn_layerdrop_decision
+from attendout.regularizers import layerdrop_decision
 from attendout.trainer import train
-from conftest import rand_attention
+from conftest import logprob_grad, rand_attention
 
 
 def _report(criterion: int, detail: str) -> None:
@@ -104,9 +103,9 @@ def test_criterion_2_constant_attention_exactness():
                       d_ff=32, num_heads=2, num_classes=2)
     params = init_task_model(cfg, 7)
     tokens = np.array([0, 5, 2, 8, 1, 7, 4, 3])
-    bits = attn_layerdrop_decision(2, 1.0, nk.RngState(0))
+    bits = layerdrop_decision(2, 1.0, nk.RngState(0))
     via_layerdrop, _ = task_forward(params, tokens, layer_masks=[
-        MaskMatrix.all_dropped() if b else MaskMatrix.none() for b in bits])
+        MaskMatrix.all_dropped() if b else None for b in bits])
     via_masks, _ = task_forward(params, tokens, layer_masks=[
         MaskMatrix.from_drop_bits(np.ones((8, 8), dtype=np.uint8))] * 2)
     assert np.array_equal(via_layerdrop, via_masks)
@@ -131,7 +130,7 @@ def test_criterion_3_masked_softmax_normalization():
                     < 0.4).astype(np.uint8)
             if not np.any(np.all(bits != 0, axis=1)):
                 break
-        _, cache = attn_forward(x, params, MaskMatrix.scores_from_drop_bits(bits))
+        _, cache = attn_forward(x, params, MaskMatrix.from_drop_bits(bits))
         worst = max(worst, float(np.abs(cache.attn.sum(axis=2) - 1.0).max()))
     assert worst <= 1e-12
     _report(3, f"1000 random masked trials, worst row-sum deviation {worst:.2e} <= 1e-12")
@@ -164,7 +163,7 @@ def test_criterion_4_reinforce_unbiasedness():
     total_sq = np.zeros_like(exact)
     for _ in range(n):
         decision = gnet_sample_masks(gparams, tokens, 1, rng)
-        vec = ptree.flatten(gnet_logprob_backward(gparams, tokens, decision))
+        vec = ptree.flatten(logprob_grad(gparams, tokens, decision))
         vec *= reward_fn(decision.masks)
         total += vec
         total_sq += vec * vec
@@ -216,7 +215,7 @@ def test_criterion_5_baseline_variance_and_mean():
                 baseline = update_baseline(baseline, record)
             else:
                 advantage = reward
-            vec = ptree.flatten(gnet_logprob_backward(gparams, tokens, decision))
+            vec = ptree.flatten(logprob_grad(gparams, tokens, decision))
             vec *= advantage
             if total is None:
                 total, total_sq = vec.copy(), vec * vec

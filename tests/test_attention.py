@@ -52,7 +52,7 @@ def test_scores_zero_mask_is_identity():
     x = _rand_x(4, 5, 8)
     y_plain, _ = attn_forward(x, params)
     y_masked, _ = attn_forward(
-        x, params, MaskMatrix.scores_from_drop_bits(np.zeros((5, 5), dtype=int))
+        x, params, MaskMatrix.from_drop_bits(np.zeros((5, 5), dtype=int))
     )
     assert np.array_equal(y_plain, y_masked)
 
@@ -111,7 +111,7 @@ def test_scores_mode_rows_renormalize():
         x = rng.normal_array((6, 8))
         bits = (rng.uniform_array(36).reshape(6, 6) < 0.4).astype(int)
         bits[:, 0] = 0
-        _, cache = attn_forward(x, params, MaskMatrix.scores_from_drop_bits(bits))
+        _, cache = attn_forward(x, params, MaskMatrix.from_drop_bits(bits))
         sums = cache.attn.sum(axis=2)
         assert np.abs(sums - 1.0).max() <= 1e-12
         # dropped units are exactly zero, survivors renormalize
@@ -122,7 +122,7 @@ def test_scores_mode_survivors_match_subset_softmax():
     params = rand_attention(15, heads=1)
     x = _rand_x(16, 4, 8)
     bits = np.array([[0, 1, 0, 1]] * 4)
-    _, cache = attn_forward(x, params, MaskMatrix.scores_from_drop_bits(bits))
+    _, cache = attn_forward(x, params, MaskMatrix.from_drop_bits(bits))
     raw = (x @ params.w_q) @ (x @ params.w_k).T / math.sqrt(8)
     for i in range(4):
         kept = [j for j in range(4) if bits[i, j] == 0]
@@ -146,7 +146,7 @@ def test_weights_mode_does_not_renormalize():
     # the asymmetry: SCORES mode renormalizes the same drop pattern
     scores_bits = np.zeros((5, 5), dtype=int)
     scores_bits[2, :3] = 1
-    _, cache_s = attn_forward(x, params, MaskMatrix.scores_from_drop_bits(scores_bits))
+    _, cache_s = attn_forward(x, params, MaskMatrix.from_drop_bits(scores_bits))
     assert np.abs(cache_s.attn.sum(axis=2) - 1.0).max() <= 1e-12
 
 
@@ -165,12 +165,10 @@ def test_permutation_equivariance_single_head():
 
 
 def test_scores_mask_with_dead_row_rejected():
-    params = rand_attention(23)
-    x = _rand_x(24, 3, 8)
     entries = np.zeros((3, 3))
     entries[1, :] = nk.NEG_INF
     with pytest.raises(nk.ContractViolation):
-        attn_forward(x, params, MaskMatrix(MaskMode.SCORES, entries))
+        MaskMatrix(MaskMode.SCORES, entries)
 
 
 def test_from_drop_bits_escalates_full_matrix():
@@ -185,10 +183,29 @@ def test_from_drop_bits_escalates_full_row():
 
 
 def test_weights_mask_validates_binary():
+    with pytest.raises(nk.ContractViolation):
+        MaskMatrix(MaskMode.WEIGHTS, np.full((3, 3), 0.5))
+
+
+@pytest.mark.parametrize("mode, entries", [
+    (MaskMode.SCORES, np.array([[0.0, -1e3], [0.0, 0.0]])),
+    (MaskMode.SCORES, np.zeros((2, 3))),
+    (MaskMode.WEIGHTS, np.ones((2, 3))),
+    (MaskMode.WEIGHTS, np.ones(3)),
+    (MaskMode.SCORES, None),
+    (MaskMode.ALL_DROPPED, np.zeros((2, 2))),
+], ids=["scores_non_sentinel", "scores_non_square", "weights_non_square",
+        "weights_1d", "scores_no_entries", "all_dropped_with_entries"])
+def test_mask_rejects_bad_entries_when_built(mode, entries):
+    with pytest.raises(nk.ContractViolation):
+        MaskMatrix(mode, entries)
+
+
+def test_forward_rejects_mask_of_another_length():
     params = rand_attention(25)
     x = _rand_x(26, 3, 8)
-    with pytest.raises(nk.ContractViolation):
-        attn_forward(x, params, MaskMatrix(MaskMode.WEIGHTS, np.full((3, 3), 0.5)))
+    with pytest.raises(nk.ShapeError):
+        attn_forward(x, params, MaskMatrix.weights(np.ones((4, 4))))
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +258,7 @@ def test_gradcheck_mode_none():
 def test_gradcheck_mode_scores():
     bits = (nk.RngState(1).uniform_array(16).reshape(4, 4) < 0.3).astype(int)
     bits[:, 0] = 0
-    assert _gradcheck_mode(MaskMatrix.scores_from_drop_bits(bits)) <= 1e-4
+    assert _gradcheck_mode(MaskMatrix.from_drop_bits(bits)) <= 1e-4
 
 
 def test_gradcheck_mode_weights():

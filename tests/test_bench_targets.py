@@ -1,11 +1,40 @@
 """The traced benchmark wraps program functions by name from outside
 (`perfbench/spans.py`), so a rename in `src/` would silently drop a span.
-This keeps every wrapped name resolving without running the benchmark."""
+This keeps every wrapped name resolving, and every counter hook running on
+the arguments the program passes, without running the benchmark."""
 
 import importlib.util
 from pathlib import Path
 
+from attendout import trainer
+from attendout.config import parse_config_text
+
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+TINY = """
+[run]
+method = {method}
+seed = 1
+epochs = 1
+
+[data]
+task = majority_token
+n = 60
+seq_len = 6
+vocab = 6
+
+[model]
+layers = 2
+d_model = 8
+d_ff = 16
+heads = 1
+
+[optimizer]
+lr = 0.003
+batch_size = 6
+
+[{method}]
+"""
 
 
 def _load_spans():
@@ -22,3 +51,19 @@ def test_every_span_target_resolves():
         assert missing == set()
     finally:
         restore()
+
+
+def test_span_hooks_run_on_attendout_and_attn_layerdrop_training():
+    # a hook that raised would propagate out of train
+    spans = _load_spans()
+    rec = spans.Recorder("t")
+    restore, _ = spans.install(rec)
+    try:
+        trainer.train(parse_config_text(
+            TINY.format(method="attendout") + "dropout_step = 2\ngnet_lr = 0.3\n"))
+        trainer.train(parse_config_text(TINY.format(method="attn_layerdrop") + "p = 0.5\n"))
+    finally:
+        restore()
+    for mode in ("none", "scores", "all_dropped"):
+        assert rec.counters[f"attention.attn_forward.calls.{mode}"] > 0
+    assert rec.counters["policygrad.reinforce_update.decisions"] > 0

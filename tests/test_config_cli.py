@@ -173,11 +173,14 @@ SCHEDULED_2_LAYERS = (MINIMAL.replace("method = none", "method = scheduled")
     ATTENDOUT_CFG.replace("dev_fraction = 0.2", "dev_fraction = 0.01")
                  .replace("test_fraction = 0.2", "test_fraction = 0.19"),
     MINIMAL.replace("vocab = 6", "vocab = 2"),
+    SCHEDULED_2_LAYERS + "\n[scheduled]\nschedule_file = {tmp}/missing.schedule\n",
+    SCHEDULED_2_LAYERS + "\n[scheduled]\nschedule_file = {tmp}/layer5.schedule\n",
 ], ids=["baseline_decay", "gnet_dim", "eval_slice_fraction", "brackets_even_seq_len",
         "scheduled_slope_count", "fraction_sum", "heads", "eval_pool_below_T",
-        "majority_vocab"])
+        "majority_vocab", "schedule_file_missing", "schedule_file_layer_out_of_range"])
 def test_cmd_train_bad_value_fails_before_run_dir(tmp_path, capsys, text):
-    cfg_path = _write(tmp_path, "bad.ini", text)
+    _write(tmp_path, "layer5.schedule", "0 0 0.5\n5 0 0.5\n1 0 0.5\n")
+    cfg_path = _write(tmp_path, "bad.ini", text.replace("{tmp}", str(tmp_path)))
     out = tmp_path / "out"
     assert main(["train", "--config", cfg_path, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")

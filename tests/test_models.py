@@ -11,7 +11,6 @@ from attendout.models import (
     GeneratorConfig,
     ModelConfig,
     decision_logprob,
-    gnet_logprob_backward,
     gnet_sample_masks,
     gnet_scores,
     init_generator,
@@ -22,7 +21,7 @@ from attendout.models import (
     task_forward,
 )
 from attendout.numkernel import cross_entropy_logits
-from conftest import max_rel_err, tree_finite_diff
+from conftest import logprob_grad, max_rel_err, tree_finite_diff
 
 SMALL = ModelConfig(vocab_size=11, max_len=8, num_layers=2, d_model=16,
                     d_ff=32, num_heads=2, num_classes=3)
@@ -289,7 +288,7 @@ def test_gnet_gradcheck_single_unit():
     g = init_generator(GeneratorConfig(5, 4, tau=1.0), 3)
     tokens = np.array([2])
     d = gnet_sample_masks(g, tokens, 1, nk.RngState(1))
-    grads = gnet_logprob_backward(g, tokens, d)
+    grads = logprob_grad(g, tokens, d)
     fd = tree_finite_diff(g, lambda p: decision_logprob(p, tokens, d))
     assert max_rel_err(ptree.flatten(grads), fd) <= 1e-4
 
@@ -298,7 +297,7 @@ def test_gnet_gradcheck_stacked():
     g = init_generator(GeneratorConfig(9, 8, tau=1.0), 4)
     tokens = np.array([1, 6, 3])
     d = gnet_sample_masks(g, tokens, 2, nk.RngState(2))
-    grads = gnet_logprob_backward(g, tokens, d)
+    grads = logprob_grad(g, tokens, d)
     fd = tree_finite_diff(g, lambda p: decision_logprob(p, tokens, d))
     assert max_rel_err(ptree.flatten(grads), fd) <= 1e-4
 
@@ -338,7 +337,7 @@ def test_stale_decision_detected():
     g2 = init_generator(GEN, 2)
     d = gnet_sample_masks(g1, TOKENS, 2, nk.RngState(3))
     with pytest.raises(nk.ContractViolation):
-        gnet_logprob_backward(g2, TOKENS, d)
+        logprob_grad(g2, TOKENS, d)
 
 
 def test_end_to_end_surrogate_gradient():
@@ -347,7 +346,7 @@ def test_end_to_end_surrogate_gradient():
     tokens = np.array([1, 6, 3])
     d = gnet_sample_masks(g, tokens, 2, nk.RngState(12))
     constant = -0.73
-    grads = gnet_logprob_backward(g, tokens, d)
+    grads = logprob_grad(g, tokens, d)
     an = ptree.flatten(grads) * constant
     fd = tree_finite_diff(g, lambda p: constant * decision_logprob(p, tokens, d))
     assert max_rel_err(an, fd) <= 1e-4

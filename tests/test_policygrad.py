@@ -7,7 +7,6 @@ from attendout import numkernel as nk
 from attendout import ptree
 from attendout.models import (
     GeneratorConfig,
-    gnet_logprob_backward,
     gnet_sample_masks,
     gnet_scores,
     init_generator,
@@ -22,7 +21,7 @@ from attendout.policygrad import (
     reinforce_update,
     update_baseline,
 )
-from conftest import max_rel_err, tree_finite_diff
+from conftest import logprob_grad, max_rel_err, tree_finite_diff
 
 TOY = GeneratorConfig(vocab_size=5, dim=3, tau=1.0)
 TOY_TOKENS = np.array([1, 3])
@@ -131,7 +130,7 @@ def test_single_decision_update_direction():
     g = _toy_generator()
     rng = nk.RngState(2)
     decision = gnet_sample_masks(g, TOY_TOKENS, 1, rng)
-    grad = ptree.flatten(gnet_logprob_backward(g, TOY_TOKENS, decision))
+    grad = ptree.flatten(logprob_grad(g, TOY_TOKENS, decision))
     for reward, sign in ((1.0, 1.0), (-1.0, -1.0)):
         probe = ptree.copy_tree(g)
         rewards = compute_rewards(1.0 if reward > 0 else 0.0,
@@ -157,11 +156,22 @@ def test_two_step_update_matches_per_decision_arithmetic():
     total = ptree.zeros_like(g)
     for (tokens, decision), r in zip(decisions, np.full(len(decisions), 1.0)):
         advantage = float(r) - baseline.value
-        ptree.add_scaled(total, gnet_logprob_backward(g, tokens, decision), advantage)
+        ptree.add_scaled(total, logprob_grad(g, tokens, decision), advantage)
     ptree.add_scaled(expected, total, lr)
     reinforce_update(g, decisions, rewards, baseline, lr)
     assert not np.array_equal(g.flat, _toy_generator().flat)
     assert np.array_equal(g.flat, expected.flat)
+
+
+def test_update_allocates_two_trees_for_any_number_of_decisions(monkeypatch):
+    g = _toy_generator()
+    rng = nk.RngState(4)
+    decisions = [(TOY_TOKENS, gnet_sample_masks(g, TOY_TOKENS, 1, rng)) for _ in range(5)]
+    calls = []
+    zeros_like = ptree.zeros_like
+    monkeypatch.setattr(ptree, "zeros_like", lambda tree: calls.append(1) or zeros_like(tree))
+    reinforce_update(g, decisions, compute_rewards(1.0, 0.0), Baseline(0.0, 0.9, True), lr=0.1)
+    assert len(calls) == 2
 
 
 def test_length_mismatch_rejected():
@@ -224,7 +234,7 @@ def _mc_updates(g, reward_fn, baseline_value, n_samples, seed):
     for _ in range(n_samples):
         decision = gnet_sample_masks(g, TOY_TOKENS, 1, rng)
         reward = reward_fn(decision.masks)
-        vec = ptree.flatten(gnet_logprob_backward(g, TOY_TOKENS, decision))
+        vec = ptree.flatten(logprob_grad(g, TOY_TOKENS, decision))
         vec = vec * (reward - baseline_value)
         if total is None:
             total = vec.copy()

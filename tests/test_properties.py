@@ -16,6 +16,7 @@ from attendout.attention import MaskMatrix, MaskMode
 from attendout.config import _SCHEMA, _SHARED_SECTIONS, compute_fairness_hash
 from attendout.numkernel import NEG_INF, softmax_rows
 from attendout.regularizers import Schedule, schedule_probability
+from conftest import softmax_rows_reference
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None)
 
@@ -56,6 +57,20 @@ def test_scores_masked_softmax_rows_sum_to_one(bits, data):
     weights = softmax_rows(scores + mask.entries)
     assert np.all(np.abs(weights.sum(axis=1) - 1.0) <= 1e-12)
     assert np.all(weights[bits != 0] == 0.0)
+
+
+@PROPERTY_SETTINGS
+@given(drop_bits(), st.data())
+def test_softmax_rows_matches_the_zeroing_reference_bitwise(bits, data):
+    n = bits.shape[0]
+    kept = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, n - 1)))
+    bits[np.arange(n), kept] = 0
+    scores = data.draw(hnp.arrays(np.float64, (n, n), elements=st.floats(-1e3, 1e3)))
+    masked = scores + MaskMatrix.from_drop_bits(bits).entries
+    shape = data.draw(st.tuples(st.integers(1, 8), st.integers(1, 8)))
+    logits = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)))
+    for m in (masked, scores, logits):
+        assert np.array_equal(softmax_rows(m), softmax_rows_reference(m))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from attendout.models import ModelConfig, init_task_model, task_forward
 from attendout.numkernel import ConfigError, RngState
 from attendout.regularizers import (
     Schedule,
-    attn_layerdrop_decision,
     layerdrop_decision,
     load_schedule_file,
     schedule_probability,
@@ -84,7 +83,7 @@ def test_vanilla_rescale_rides_on_weights_masks_only(rng):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("decide", [layerdrop_decision, attn_layerdrop_decision])
+@pytest.mark.parametrize("decide", [layerdrop_decision])
 def test_layer_decisions_match_scalar_bernoulli_draws(decide):
     # the scalar sampler is the reference: same bits, same counter advance
     for seed in range(200):
@@ -111,25 +110,15 @@ def test_layerdrop_rate_within_ci():
     assert np.all(np.abs(hits / trials - p) <= 3 * sigma)
 
 
-def test_attn_layerdrop_rate_within_ci():
-    rng = RngState(11).derive("ald")
-    n, p, trials = 4, 0.2, 10_000
-    hits = np.zeros(n)
-    for _ in range(trials):
-        hits += attn_layerdrop_decision(n, p, rng)
-    sigma = math.sqrt(p * (1 - p) / trials)
-    assert np.all(np.abs(hits / trials - p) <= 3 * sigma)
-
-
 def test_attn_layerdrop_p_one_equals_all_dropped_masks():
     cfg = ModelConfig(vocab_size=9, max_len=8, num_layers=2, d_model=16,
                       d_ff=32, num_heads=2, num_classes=2)
     params = init_task_model(cfg, 3)
     tokens = np.array([0, 5, 2, 8, 1, 7, 4, 3])
     rng = RngState(1)
-    bits = attn_layerdrop_decision(2, 1.0, rng)
+    bits = layerdrop_decision(2, 1.0, rng)
     via_layerdrop, _ = task_forward(params, tokens, layer_masks=[
-        MaskMatrix.all_dropped() if b else MaskMatrix.none() for b in bits])
+        MaskMatrix.all_dropped() if b else None for b in bits])
     via_masks, _ = task_forward(params, tokens, layer_masks=[
         MaskMatrix.from_drop_bits(np.ones((8, 8), dtype=np.uint8))] * 2)
     assert np.array_equal(via_layerdrop, via_masks)

@@ -154,7 +154,7 @@ def _grad_masks():
     return [
         [None, MaskMatrix.from_drop_bits(bits), None],
         [MaskMatrix.weights(keep, rescale=1 / 0.7), MaskMatrix.all_dropped(), None],
-        [MaskMatrix.all_dropped(), MaskMatrix.weights(keep), MaskMatrix.none()],
+        [MaskMatrix.all_dropped(), MaskMatrix.weights(keep), None],
     ]
 
 
