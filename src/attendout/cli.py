@@ -16,8 +16,8 @@ output root honors ATTENDOUT_OUT_ROOT when --out is relative or omitted.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
-import dataclasses
 import json
 import os
 import sys
@@ -165,17 +165,17 @@ def cmd_replay_schedule(args) -> int:
             "replay-schedule needs a config with method none or scheduled, "
             f"got {cfg.method!r}"
         )
-    schedule = load_schedule_file(args.schedule, cfg.layers)
     cfg.method = METHOD_SCHEDULED
     cfg.sched_p0 = None
     cfg.sched_slope = None
     cfg.schedule_file = args.schedule
+    cfg.schedule = load_schedule_file(args.schedule, cfg.layers)
     out = _out_dir(args.out, f"replay-{Path(args.schedule).stem}-seed{cfg.seed}")
     result = _run_and_write(cfg, out, args.config, args.seed)
 
     realized = {(step, layer): prob for step, layer, prob in result.mask_trace}
     mismatches = []
-    for layer, points in enumerate(schedule.breakpoints):
+    for layer, points in enumerate(cfg.schedule.breakpoints):
         for step, prob in points:
             got = realized.get((step, layer))
             if got is not None and got != prob:
@@ -211,7 +211,7 @@ def cmd_compare(args) -> int:
         accuracies = []
         runs = []
         for k in range(args.seeds):
-            run_cfg = dataclasses.replace(cfg)
+            run_cfg = copy.copy(cfg)
             run_cfg.seed = base_seed + k
             run_dir = out / f"{idx:02d}-{Path(path).stem}-seed{run_cfg.seed}"
             result = _run_and_write(run_cfg, run_dir, path, run_cfg.seed)

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .models import ModelConfig
 from .numkernel import ConfigError, ShapeError
-from .regularizers import load_schedule_file
+from .regularizers import Schedule, load_schedule_file
 from .tasks import NUM_CLASSES, split_sizes
 
 METHOD_NONE = "none"
@@ -148,6 +148,9 @@ class TrainConfig:
     sched_p0: list[float] | None = None
     sched_slope: list[float] | None = None
     schedule_file: str | None = None
+    # Built from p0/slope or read from schedule_file once, when the config
+    # is checked; training uses this object and never re-reads the file.
+    schedule: Schedule | None = field(default=None, init=False, compare=False)
     fairness_hash: str = ""
     source_text: str = ""
 
@@ -306,7 +309,9 @@ def _validate(cfg: TrainConfig) -> None:
                     f"[scheduled] {name} needs 1 or {cfg.layers} values, got {len(vals)}"
                 )
         if cfg.schedule_file is not None:
-            load_schedule_file(cfg.schedule_file, cfg.layers)
+            cfg.schedule = load_schedule_file(cfg.schedule_file, cfg.layers)
+        else:
+            cfg.schedule = Schedule.linear(p0, slope, cfg.layers)
 
 
 def load_config(path) -> TrainConfig:

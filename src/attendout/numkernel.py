@@ -226,18 +226,22 @@ def sigmoid(x):
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    """Gaussian error linear unit (tanh form)."""
+    """Gaussian error linear unit (tanh form).
+
+    The cube is two multiplies: numpy's general `x**3` goes through pow and
+    costs about ten times the rest of the kernel.
+    """
     x = np.asarray(x, dtype=np.float64)
-    u = np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)
+    u = np.sqrt(2.0 / np.pi) * (x + 0.044715 * (x * x * x))
     return 0.5 * x * (1.0 + np.tanh(u))
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     c = np.sqrt(2.0 / np.pi)
-    u = c * (x + 0.044715 * x**3)
-    t = np.tanh(u)
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * c * (1.0 + 3 * 0.044715 * x**2)
+    x2 = x * x
+    t = np.tanh(c * (x + 0.044715 * (x2 * x)))
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3 * 0.044715 * x2)
 
 
 # ---------------------------------------------------------------------------

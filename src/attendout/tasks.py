@@ -52,22 +52,26 @@ def gen_majority_token(n: int, seq_len: int, vocab_size: int, seed: int) -> Data
     rng = RngState(seed).derive("majority-token")
     body = seq_len - 1
     examples = []
-    for i in range(n):
-        want = i % 2
-        while True:
-            toks = np.empty(seq_len, dtype=np.int64)
-            toks[0] = CLS_ID
-            toks[1:] = np.floor(
-                rng.uniform_array(body) * (vocab_size - 1)
-            ).astype(np.int64) + 1
-            count_a = int(np.sum(toks[1:] == TOKEN_A))
-            count_b = int(np.sum(toks[1:] == TOKEN_B))
-            if count_a == count_b:
-                continue
-            label = 1 if count_a > count_b else 0
-            if label == want:
-                examples.append((toks, label))
-                break
+    while len(examples) < n:
+        # Each candidate takes the next `body` draws whether or not it is
+        # kept, so drawing a block of candidates in one call gives the same
+        # examples as one call per candidate. Half the candidates have the
+        # wrong class, so a block of twice the examples still missing
+        # leaves only the ties short. A tie is labelled -1.
+        k = 2 * (n - len(examples)) + 16
+        toks = np.empty((k, seq_len), dtype=np.int64)
+        toks[:, 0] = CLS_ID
+        toks[:, 1:] = np.floor(
+            rng.uniform_array(k * body).reshape(k, body) * (vocab_size - 1)
+        ).astype(np.int64) + 1
+        count_a = np.sum(toks[:, 1:] == TOKEN_A, axis=1)
+        count_b = np.sum(toks[:, 1:] == TOKEN_B, axis=1)
+        labels = np.where(count_a == count_b, -1, count_a > count_b).tolist()
+        for c, label in enumerate(labels):
+            if label == len(examples) % 2:
+                examples.append((toks[c].copy(), label))  # a view would pin the block
+                if len(examples) == n:
+                    break
     return Dataset(examples, vocab_size, NUM_CLASSES)
 
 

@@ -63,9 +63,7 @@ from .policygrad import (
     update_baseline,
 )
 from .regularizers import (
-    Schedule,
     layerdrop_decision,
-    load_schedule_file,
     schedule_probability,
     vanilla_attention_mask,
 )
@@ -344,12 +342,6 @@ def _generate_dataset(cfg: TrainConfig) -> tasks.Dataset:
     raise ConfigError(f"unknown task {cfg.task!r}")
 
 
-def _build_schedule(cfg: TrainConfig) -> Schedule:
-    if cfg.schedule_file is not None:
-        return load_schedule_file(cfg.schedule_file, cfg.layers)
-    return Schedule.linear(cfg.sched_p0, cfg.sched_slope, cfg.layers)
-
-
 def train(config: TrainConfig) -> TrainResult:
     """Run one training job as configured; pure function of the config."""
     full = _generate_dataset(config)
@@ -369,7 +361,6 @@ def _train_single(cfg: TrainConfig, mcfg: ModelConfig, train_ds, dev_ds, root):
     stream = BatchStream(train_ds.examples, cfg.batch_size, cfg.epochs,
                          root.derive("data"))
     mask_rng = root.derive("masks")
-    schedule = _build_schedule(cfg) if cfg.method == METHOD_SCHEDULED else None
 
     metrics = []
     mask_trace = []
@@ -385,7 +376,7 @@ def _train_single(cfg: TrainConfig, mcfg: ModelConfig, train_ds, dev_ds, root):
             if cfg.method == METHOD_VANILLA:
                 probs = [cfg.p] * cfg.layers
             else:
-                probs = [schedule_probability(schedule, i, step) for i in range(cfg.layers)]
+                probs = [schedule_probability(cfg.schedule, i, step) for i in range(cfg.layers)]
                 for layer, prob in enumerate(probs):
                     mask_trace.append((step, layer, prob))
             mode = cfg.vanilla_mode if cfg.method == METHOD_VANILLA else "scores"

@@ -88,3 +88,51 @@ def gumbel_binary_sample(logit: float, rng: RngState) -> tuple[int, float]:
     g_zero = _gumbel(rng)
     bit = 1 if logit + g_one > g_zero else 0
     return bit, float(log_sigmoid(logit if bit else -logit))
+
+
+# ---------------------------------------------------------------------------
+# Kernel references: the earlier, slower forms that numkernel's GELU and
+# tasks' block-drawn dataset generator are checked against.
+# ---------------------------------------------------------------------------
+
+
+def gelu_reference(x: np.ndarray) -> np.ndarray:
+    """Tanh-form GELU with the cube taken by np.power."""
+    x = np.asarray(x, dtype=np.float64)
+    u = np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)
+    return 0.5 * x * (1.0 + np.tanh(u))
+
+
+def gelu_grad_reference(x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    c = np.sqrt(2.0 / np.pi)
+    u = c * (x + 0.044715 * x**3)
+    t = np.tanh(u)
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * c * (1.0 + 3 * 0.044715 * x**2)
+
+
+def gen_majority_token_reference(n: int, seq_len: int, vocab_size: int, seed: int):
+    """The majority task drawn one rejection-sampling candidate per
+    uniform_array call; gen_majority_token must give the same examples."""
+    from attendout.tasks import CLS_ID, TOKEN_A, TOKEN_B
+
+    rng = RngState(seed).derive("majority-token")
+    body = seq_len - 1
+    examples = []
+    for i in range(n):
+        want = i % 2
+        while True:
+            toks = np.empty(seq_len, dtype=np.int64)
+            toks[0] = CLS_ID
+            toks[1:] = np.floor(
+                rng.uniform_array(body) * (vocab_size - 1)
+            ).astype(np.int64) + 1
+            count_a = int(np.sum(toks[1:] == TOKEN_A))
+            count_b = int(np.sum(toks[1:] == TOKEN_B))
+            if count_a == count_b:
+                continue
+            label = 1 if count_a > count_b else 0
+            if label == want:
+                examples.append((toks, label))
+                break
+    return examples

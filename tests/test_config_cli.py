@@ -287,6 +287,47 @@ def test_replay_schedule_from_adversarial_trace(tmp_path):
                  "--config", base_cfg, "--out", str(tmp_path / "replayed")]) == 0
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _count_schedule_reads(monkeypatch) -> list:
+    """Route every module's load_schedule_file through one counting wrapper."""
+    import attendout.config
+    import attendout.regularizers
+    import attendout.trainer
+
+    calls = []
+    real = attendout.regularizers.load_schedule_file
+
+    def counting(path, num_layers):
+        calls.append(str(path))
+        return real(path, num_layers)
+
+    for module in (attendout.config, attendout.trainer, cli):
+        if hasattr(module, "load_schedule_file"):
+            monkeypatch.setattr(module, "load_schedule_file", counting)
+    return calls
+
+
+def test_scheduled_train_reads_its_schedule_file_once(tmp_path, monkeypatch):
+    text = (CONFIGS / "scheduled.ini").read_text().replace("epochs = 8", "epochs = 0")
+    text = text[:text.index("[scheduled]")]
+    text += f"[scheduled]\nschedule_file = {CONFIGS / 'example.schedule'}\n"
+    cfg_path = _write(tmp_path, "sched.ini", text)
+    calls = _count_schedule_reads(monkeypatch)
+    assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
+def test_replay_schedule_reads_its_schedule_file_once(tmp_path, monkeypatch):
+    text = (CONFIGS / "none.ini").read_text().replace("epochs = 8", "epochs = 0")
+    cfg_path = _write(tmp_path, "none.ini", text)
+    calls = _count_schedule_reads(monkeypatch)
+    assert main(["replay-schedule", "--schedule", str(CONFIGS / "example.schedule"),
+                 "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # cmd_compare
 # ---------------------------------------------------------------------------
@@ -319,6 +360,21 @@ def test_compare_summary_matches_per_run_results(tmp_path):
             per_run.append(result["dev_accuracy"])
         assert row["mean_dev_accuracy"] == pytest.approx(float(np.mean(per_run)))
         assert np.isfinite(row["mean_dev_accuracy"])
+
+
+def test_compare_keeps_the_loaded_schedule_on_every_seed(tmp_path, monkeypatch):
+    sched_path = _write(tmp_path, "ramp.schedule", "0 0 0.8\n0 5 0.1\n")
+    a = _write(tmp_path, "none.ini", MINIMAL)
+    b = _write(tmp_path, "sched.ini",
+               MINIMAL.replace("method = none", "method = scheduled")
+               + f"\n[scheduled]\nschedule_file = {sched_path}\n")
+    calls = _count_schedule_reads(monkeypatch)
+    out = tmp_path / "cmp"
+    assert main(["compare", a, b, "--seeds", "2", "--out", str(out)]) == 0
+    assert len(calls) == 1
+    for run in json.loads((out / "summary.json").read_text())[1]["runs"]:
+        trace = (Path(run["dir"]) / "mask_trace.csv").read_text().splitlines()
+        assert trace[1] == "0,0,0.8"
 
 
 def test_compare_rejects_unfair_configs(tmp_path):

@@ -83,6 +83,45 @@ def test_cross_entropy_label_out_of_range():
 
 
 # ---------------------------------------------------------------------------
+# GELU
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(np.float64).eps
+
+
+def _gelu_points() -> np.ndarray:
+    """A grid over [-12, 12] (through 0 and the saturated tails) plus
+    seeded uniform draws on it."""
+    draws = nk.RngState(21).uniform_array(400) * 24.0 - 12.0
+    return np.concatenate([np.linspace(-12.0, 12.0, 481), draws])
+
+
+def test_gelu_matches_tanh_form_at_50_digits():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    c = mpmath.sqrt(2 / mpmath.pi)
+    a = mpmath.mpf("0.044715")
+    x = _gelu_points()
+    want = np.empty_like(x)
+    want_grad = np.empty_like(x)
+    for i, v in enumerate(x):
+        v = mpmath.mpf(float(v))
+        t = mpmath.tanh(c * (v + a * v**3))
+        want[i] = float(v / 2 * (1 + t))
+        want_grad[i] = float((1 + t) / 2 + v / 2 * (1 - t**2) * c * (1 + 3 * a * v**2))
+    scale = EPS * (1.0 + np.abs(x))
+    assert np.max(np.abs(nk.gelu(x) - want) / scale) <= 4.0
+    assert np.max(np.abs(nk.gelu_grad(x) - want_grad) / scale) <= 4.0
+
+
+def test_gelu_grad_matches_central_differences():
+    x = _gelu_points()
+    h = 1e-5
+    fd = (nk.gelu(x + h) - nk.gelu(x - h)) / (2.0 * h)
+    assert np.max(np.abs(nk.gelu_grad(x) - fd)) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
 # RngState
 # ---------------------------------------------------------------------------
 

@@ -1,5 +1,5 @@
 """Property tests of the mask escalation rule, the masked softmax, the
-dropout schedules and the config fairness hash.
+GELU kernels, the dropout schedules and the config fairness hash.
 
 derandomize=True fixes hypothesis's example stream, so every run of the
 suite checks the same examples.
@@ -14,9 +14,9 @@ from hypothesis.extra import numpy as hnp
 
 from attendout.attention import MaskMatrix, MaskMode
 from attendout.config import _SCHEMA, _SHARED_SECTIONS, compute_fairness_hash
-from attendout.numkernel import NEG_INF, softmax_rows
+from attendout.numkernel import NEG_INF, RngState, gelu, gelu_grad, softmax_rows
 from attendout.regularizers import Schedule, schedule_probability
-from conftest import softmax_rows_reference
+from conftest import gelu_grad_reference, gelu_reference, softmax_rows_reference
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None)
 
@@ -71,6 +71,35 @@ def test_softmax_rows_matches_the_zeroing_reference_bitwise(bits, data):
     logits = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)))
     for m in (masked, scores, logits):
         assert np.array_equal(softmax_rows(m), softmax_rows_reference(m))
+
+
+# ---------------------------------------------------------------------------
+# GELU
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def gelu_inputs(draw):
+    """A feed-forward-shaped array, seeded uniform on [-12, 12], with up to
+    32 entries overwritten by drawn values (0, the ends, tiny values)."""
+    shape = draw(st.sampled_from([(16, 64), (64, 256)]))
+    size = shape[0] * shape[1]
+    x = RngState(draw(st.integers(0, 2**32))).uniform_array(size) * 24.0 - 12.0
+    for i, v in draw(st.lists(st.tuples(st.integers(0, size - 1), st.floats(-12.0, 12.0)),
+                              max_size=32)):
+        x[i] = v
+    return x.reshape(shape)
+
+
+@PROPERTY_SETTINGS
+@given(gelu_inputs())
+def test_gelu_kernels_match_the_power_reference(x):
+    # A cube one ulp off can move tanh(u) by one ulp. Near |t| = 1 the
+    # cancelling 1 - t*t turns that into up to ~1.1 eps*(1 + |x|) in
+    # gelu_grad (at |x| ~ 3.8), hence its wider bound.
+    scale = np.finfo(np.float64).eps * (1.0 + np.abs(x))
+    assert np.all(np.abs(gelu(x) - gelu_reference(x)) <= scale)
+    assert np.all(np.abs(gelu_grad(x) - gelu_grad_reference(x)) <= 2.0 * scale)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from attendout.tasks import (
     gen_majority_token,
     split,
 )
+from conftest import gen_majority_token_reference
 
 
 def _stack_check(brackets) -> bool:
@@ -60,6 +61,20 @@ def test_majority_balance():
         ds = gen_majority_token(n, 10, 6, seed=2)
         ones = sum(label for _, label in ds.examples)
         assert abs(ones - (n - ones)) <= 1
+
+
+@pytest.mark.parametrize("n,seq_len,vocab,seed", [
+    (1000, 16, 12, 1), (1800, 64, 12, 1), (1000, 16, 12, 7),
+    (300, 2, 3, 4), (301, 3, 3, 5), (257, 5, 3, 6), (200, 9, 4, 2),
+    (1, 2, 5, 0), (0, 4, 3, 1),
+])
+def test_majority_blocks_match_per_candidate_draws(n, seq_len, vocab, seed):
+    got = gen_majority_token(n, seq_len, vocab, seed).examples
+    want = gen_majority_token_reference(n, seq_len, vocab, seed)
+    assert len(got) == len(want) == n
+    for (tokens, label), (ref_tokens, ref_label) in zip(got, want):
+        assert tokens.dtype == ref_tokens.dtype and np.array_equal(tokens, ref_tokens)
+        assert type(label) is int and label == ref_label
 
 
 def test_majority_validates_parameters():
