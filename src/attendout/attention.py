@@ -133,18 +133,18 @@ class AttentionParams(ptree.ParamTree):
 
 @dataclass
 class AttentionCache:
-    """Forward intermediates needed by attn_backward."""
+    """Forward intermediates needed by attn_backward; q query rows of L."""
 
     mask: MaskMatrix | None
     params: AttentionParams
     x: np.ndarray
-    pre: np.ndarray                      # L x d_model, input to w_o
+    pre: np.ndarray                      # q x d_model, input to w_o
     # regular modes
-    qh: np.ndarray | None = None         # (H, L, d_k)
-    kh: np.ndarray | None = None
+    qh: np.ndarray | None = None         # (H, q, d_k)
+    kh: np.ndarray | None = None         # (H, L, d_k)
     vh: np.ndarray | None = None
-    scores: np.ndarray | None = None     # (H, L, L), as fed to softmax
-    attn: np.ndarray | None = None       # (H, L, L), post-softmax
+    scores: np.ndarray | None = None     # (H, q, L), as fed to softmax
+    attn: np.ndarray | None = None       # (H, q, L), post-softmax
     attn_used: np.ndarray | None = None  # post-mask weights (WEIGHTS mode)
 
 
@@ -175,39 +175,44 @@ def constant_attention(v: np.ndarray) -> np.ndarray:
 
 
 def attn_forward(x: np.ndarray, params: AttentionParams,
-                 mask: MaskMatrix | None = None) -> tuple[np.ndarray, AttentionCache]:
-    """Run one attention layer under the given dropout mask (None: no mask)."""
+                 mask: MaskMatrix | None = None,
+                 queries: int | None = None) -> tuple[np.ndarray, AttentionCache]:
+    """Run one attention layer under the given dropout mask (None: no mask).
+    queries=q computes only the first q of the L output rows (None: all)."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ShapeError(f"input must be L x d_model with L >= 1, got {x.shape}")
     length, d = x.shape
     if d != params.d_model:
         raise ShapeError(f"input width {d} != d_model {params.d_model}")
+    q = length if queries is None else queries
+    if not 1 <= q <= length:
+        raise ShapeError(f"queries must be in [1, {length}], got {queries}")
     mode, entries = (None, None) if mask is None else (mask.mode, mask.entries)
     if entries is not None and entries.shape != (length, length):
         raise ShapeError(f"mask entries must be {length}x{length}, got {entries.shape}")
 
     if mode is MaskMode.ALL_DROPPED:
         v = x @ params.w_v
-        pre = constant_attention(v)
+        pre = constant_attention(v)[:q]
         y = pre @ params.w_o
         return y, AttentionCache(mask, params, x, pre)
 
     num_heads, d_k = params.num_heads, params.d_k
-    qh = _split_heads(x @ params.w_q, num_heads)
+    qh = _split_heads(x[:q] @ params.w_q, num_heads)
     kh = _split_heads(x @ params.w_k, num_heads)
     vh = _split_heads(x @ params.w_v, num_heads)
     scores = qh @ kh.transpose(0, 2, 1) / np.sqrt(d_k)
     if mode is MaskMode.SCORES:
-        scores = scores + entries[None, :, :]
+        scores = scores + entries[None, :q, :]
 
-    attn = softmax_rows(scores.reshape(num_heads * length, length)).reshape(
-        num_heads, length, length
+    attn = softmax_rows(scores.reshape(num_heads * q, length)).reshape(
+        num_heads, q, length
     )
 
     attn_used = None
     if mode is MaskMode.WEIGHTS:
-        attn_used = attn * entries[None, :, :]
+        attn_used = attn * entries[None, :q, :]
         if mask.rescale is not None:
             attn_used = attn_used * mask.rescale
 
@@ -222,19 +227,21 @@ def attn_backward(cache: AttentionCache, dy: np.ndarray, grads: AttentionParams,
                   dscores_extra: np.ndarray | None = None) -> np.ndarray:
     """Reverse-mode pass matching a prior attn_forward.
 
-    Mask entries are constants: no gradient flows through dropped units.
-    The parameter gradients are added into grads, a caller-owned tree
-    shaped like the params (such as one layer's slot of a whole-model
-    gradient buffer). dscores_extra, if given, is an extra gradient
-    injected directly on the pre-softmax score matrix (single-head layers
-    only); the mask generator uses this to differentiate its action
-    log-probabilities. Returns dx.
+    dy is q x d_model, one row per computed query; the returned dx is
+    L x d_model, since every row feeds the keys and values. Mask entries
+    are constants: no gradient flows through dropped units. The parameter
+    gradients are added into grads, a caller-owned tree shaped like the
+    params (such as one layer's slot of a whole-model gradient buffer).
+    dscores_extra, if given, is an extra gradient injected directly on the
+    pre-softmax score matrix (single-head layers only); the mask generator
+    uses this to differentiate its action log-probabilities.
     """
     dy = np.asarray(dy, dtype=np.float64)
     params = cache.params
     length, d = cache.x.shape
-    if dy.shape != (length, d):
-        raise ShapeError(f"dy shape {dy.shape} does not match output {(length, d)}")
+    q = cache.pre.shape[0]
+    if dy.shape != (q, d):
+        raise ShapeError(f"dy shape {dy.shape} does not match output {(q, d)}")
 
     mask = cache.mask
     mode = None if mask is None else mask.mode
@@ -258,7 +265,7 @@ def attn_backward(cache: AttentionCache, dy: np.ndarray, grads: AttentionParams,
 
     d_attn = d_attn_used
     if mode is MaskMode.WEIGHTS:
-        d_attn = d_attn_used * mask.entries[None, :, :]
+        d_attn = d_attn_used * mask.entries[None, :q, :]
         if mask.rescale is not None:
             d_attn = d_attn * mask.rescale
 
@@ -276,7 +283,11 @@ def attn_backward(cache: AttentionCache, dy: np.ndarray, grads: AttentionParams,
     dq = _merge_heads(dqh)
     dk = _merge_heads(dkh)
     dv = _merge_heads(dvh)
-    grads.w_q += cache.x.T @ dq
+    grads.w_q += cache.x[:q].T @ dq
     grads.w_k += cache.x.T @ dk
     grads.w_v += cache.x.T @ dv
-    return dq @ params.w_q.T + dk @ params.w_k.T + dv @ params.w_v.T
+    # the sum dq w_q' + dk w_k' + dv w_v' of the full-row pass, in its order
+    dx = dk @ params.w_k.T
+    dx[:q] += dq @ params.w_q.T
+    dx += dv @ params.w_v.T
+    return dx

@@ -36,7 +36,7 @@ from .config import (
     load_config,
 )
 from .models import save_checkpoint
-from .numkernel import ConfigError, ContractViolation, DivergenceError, ShapeError
+from .numkernel import ConfigError, ContractViolation, DivergenceError, OracleError, ShapeError
 from .regularizers import load_schedule_file
 from .trainer import TrainResult, train
 
@@ -291,7 +291,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ContractViolation, DivergenceError, ShapeError, FileNotFoundError) as exc:
+    except (ConfigError, ContractViolation, DivergenceError, OracleError, ShapeError,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -204,9 +204,12 @@ def init_generator(config: GeneratorConfig, seed: int | RngState) -> GeneratorPa
 # ---------------------------------------------------------------------------
 
 
+# Row means are written as sum / d: numpy's mean computes exactly that, but
+# through a Python wrapper that costs more than the sum itself at these sizes.
 def _ln_forward(x, gain, bias):
-    xc = x - x.mean(axis=1, keepdims=True)
-    var = (xc * xc).mean(axis=1, keepdims=True)
+    d = x.shape[1]
+    xc = x - x.sum(axis=1, keepdims=True) / d
+    var = (xc * xc).sum(axis=1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
     x_hat = xc * inv_std
     return gain * x_hat + bias, (x_hat, inv_std)
@@ -217,10 +220,11 @@ def _ln_backward(cache, gain, dy):
     dgain = (dy * x_hat).sum(axis=0)
     dbias = dy.sum(axis=0)
     dx_hat = dy * gain
+    d = dy.shape[1]
     dx = inv_std * (
         dx_hat
-        - dx_hat.mean(axis=1, keepdims=True)
-        - x_hat * (dx_hat * x_hat).mean(axis=1, keepdims=True)
+        - dx_hat.sum(axis=1, keepdims=True) / d
+        - x_hat * ((dx_hat * x_hat).sum(axis=1, keepdims=True) / d)
     )
     return dx, dgain, dbias
 
@@ -246,7 +250,7 @@ class TaskCache:
     params: TaskModelParams
     tokens: np.ndarray
     blocks: list[_BlockCache]
-    x_final: np.ndarray
+    x_final: np.ndarray  # 1 x d_model; L x d_model when every block is skipped
 
 
 def task_forward(params: TaskModelParams, tokens,
@@ -258,7 +262,8 @@ def task_forward(params: TaskModelParams, tokens,
     it is the one way a mask reaches the model, whether it comes from the
     generator's drop bits, a random regularizer, or an all-dropped
     attention layer. skip_blocks short-circuits whole blocks to identity.
-    Classification pools the first position.
+    Classification pools the first position, so the last block that runs
+    computes position 0 only: its attention takes one query row.
     """
     cfg = params.config
     tokens = np.asarray(tokens, dtype=np.int64)
@@ -279,14 +284,15 @@ def task_forward(params: TaskModelParams, tokens,
     if skips.shape != (n,):
         raise ShapeError(f"need {n} skip bits, got {skips.shape}")
 
+    last = max((i for i in range(n) if not skips[i]), default=-1)
     x = params.token_embedding[tokens] + params.position_embedding[:length]
     blocks = []
-    for layer, mask, skip in zip(params.layers, layer_masks, skips):
+    for i, (layer, mask, skip) in enumerate(zip(params.layers, layer_masks, skips)):
         if skip:
             blocks.append(_BlockCache(skipped=True))
             continue
-        a, attn_cache = attn_forward(x, layer.attn, mask)
-        h1, ln1_cache = _ln_forward(x + a, layer.ln1_gain, layer.ln1_bias)
+        a, attn_cache = attn_forward(x, layer.attn, mask, queries=1 if i == last else None)
+        h1, ln1_cache = _ln_forward(x[:a.shape[0]] + a, layer.ln1_gain, layer.ln1_bias)
         ff_pre = h1 @ layer.ff_w1 + layer.ff_b1
         ff_act = gelu(ff_pre)
         f = ff_act @ layer.ff_w2 + layer.ff_b2
@@ -311,7 +317,7 @@ def task_backward(cache: TaskCache, dlogits: np.ndarray, grads: TaskModelParams)
     grads.head_b += dlogits[0]
 
     length = cache.tokens.size
-    dx = np.zeros((length, params.config.d_model))
+    dx = np.zeros_like(cache.x_final)
     dx[0] = (dlogits @ params.head_w.T)[0]
 
     for layer, glayer, block in zip(
@@ -333,7 +339,8 @@ def task_backward(cache: TaskCache, dlogits: np.ndarray, grads: TaskModelParams)
         dr1, dg1, db1 = _ln_backward(block.ln1_cache, layer.ln1_gain, dh1)
         glayer.ln1_gain += dg1
         glayer.ln1_bias += db1
-        dx = dr1 + attn_backward(block.attn_cache, dr1, glayer.attn)
+        dx = attn_backward(block.attn_cache, dr1, glayer.attn)
+        dx[:dr1.shape[0]] += dr1
 
     # Repeated tokens are summed within the sequence first, so each row of
     # the batch buffer takes one addition per sequence: scattering straight

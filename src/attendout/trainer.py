@@ -211,7 +211,8 @@ def _update_on_batch(params, batch, lr, opt_state, item_masks=None, skip_blocks=
     """Forward the batch one sequence at a time, item i under the layer
     masks item_masks[i] and every item under skip_blocks; average the loss,
     sum every item's gradient into one buffer and apply one optimizer step.
-    Returns the loss."""
+    Returns the loss; a non-finite loss raises DivergenceError before the
+    step."""
     item_masks = [None] * len(batch) if item_masks is None else item_masks
     logits_rows = []
     caches = []
@@ -222,6 +223,8 @@ def _update_on_batch(params, batch, lr, opt_state, item_masks=None, skip_blocks=
         caches.append(cache)
         labels.append(label)
     loss, dlogits = cross_entropy_logits(np.stack(logits_rows), labels)
+    if not np.isfinite(loss):
+        raise DivergenceError(f"non-finite batch loss {loss}")
     grads = ptree.zeros_like(params)
     for i, cache in enumerate(caches):
         task_backward(cache, dlogits[i:i + 1], grads)

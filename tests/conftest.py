@@ -136,3 +136,143 @@ def gen_majority_token_reference(n: int, seq_len: int, vocab_size: int, seed: in
                 examples.append((toks, label))
                 break
     return examples
+
+
+# ---------------------------------------------------------------------------
+# Full-row references: attention and the task model computing every query
+# row of every block, with layer-norm row means taken by np.mean. The
+# pruned last block of models.task_forward must match them to 1e-12.
+# ---------------------------------------------------------------------------
+
+
+def attn_forward_reference(x, params, mask=None):
+    from attendout.attention import (
+        AttentionCache, MaskMode, _merge_heads, _split_heads, constant_attention)
+    from attendout.numkernel import softmax_rows
+
+    length = x.shape[0]
+    mode, entries = (None, None) if mask is None else (mask.mode, mask.entries)
+    if mode is MaskMode.ALL_DROPPED:
+        pre = constant_attention(x @ params.w_v)
+        return pre @ params.w_o, AttentionCache(mask, params, x, pre)
+    num_heads, d_k = params.num_heads, params.d_k
+    qh = _split_heads(x @ params.w_q, num_heads)
+    kh = _split_heads(x @ params.w_k, num_heads)
+    vh = _split_heads(x @ params.w_v, num_heads)
+    scores = qh @ kh.transpose(0, 2, 1) / np.sqrt(d_k)
+    if mode is MaskMode.SCORES:
+        scores = scores + entries[None, :, :]
+    attn = softmax_rows(scores.reshape(num_heads * length, length)).reshape(
+        num_heads, length, length)
+    attn_used = None
+    if mode is MaskMode.WEIGHTS:
+        attn_used = attn * entries[None, :, :]
+        if mask.rescale is not None:
+            attn_used = attn_used * mask.rescale
+    pre = _merge_heads((attn if attn_used is None else attn_used) @ vh)
+    return pre @ params.w_o, AttentionCache(mask, params, x, pre, qh=qh, kh=kh, vh=vh,
+                                            scores=scores, attn=attn, attn_used=attn_used)
+
+
+def attn_backward_reference(cache, dy, grads):
+    from attendout.attention import MaskMode, _merge_heads, _split_heads
+
+    params, mask = cache.params, cache.mask
+    length = cache.x.shape[0]
+    mode = None if mask is None else mask.mode
+    dpre = dy @ params.w_o.T
+    grads.w_o += cache.pre.T @ dy
+    if mode is MaskMode.ALL_DROPPED:
+        dv = np.tile(dpre.sum(axis=0) / length, (length, 1))
+        grads.w_v += cache.x.T @ dv
+        return dv @ params.w_v.T
+    dout_h = _split_heads(dpre, params.num_heads)
+    attn_used = cache.attn_used if cache.attn_used is not None else cache.attn
+    d_attn = dout_h @ cache.vh.transpose(0, 2, 1)
+    dvh = attn_used.transpose(0, 2, 1) @ dout_h
+    if mode is MaskMode.WEIGHTS:
+        d_attn = d_attn * mask.entries[None, :, :]
+        if mask.rescale is not None:
+            d_attn = d_attn * mask.rescale
+    attn = cache.attn
+    dscores = attn * (d_attn - (d_attn * attn).sum(axis=2, keepdims=True)) / np.sqrt(params.d_k)
+    dq = _merge_heads(dscores @ cache.kh)
+    dk = _merge_heads(dscores.transpose(0, 2, 1) @ cache.qh)
+    dv = _merge_heads(dvh)
+    grads.w_q += cache.x.T @ dq
+    grads.w_k += cache.x.T @ dk
+    grads.w_v += cache.x.T @ dv
+    return dq @ params.w_q.T + dk @ params.w_k.T + dv @ params.w_v.T
+
+
+def ln_forward_reference(x, gain, bias):
+    from attendout.models import LN_EPS
+
+    xc = x - x.mean(axis=1, keepdims=True)
+    var = (xc * xc).mean(axis=1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + LN_EPS)
+    x_hat = xc * inv_std
+    return gain * x_hat + bias, (x_hat, inv_std)
+
+
+def ln_backward_reference(cache, gain, dy):
+    x_hat, inv_std = cache
+    dx_hat = dy * gain
+    dx = inv_std * (
+        dx_hat
+        - dx_hat.mean(axis=1, keepdims=True)
+        - x_hat * (dx_hat * x_hat).mean(axis=1, keepdims=True)
+    )
+    return dx, (dy * x_hat).sum(axis=0), dy.sum(axis=0)
+
+
+def task_forward_reference(params, tokens, layer_masks=None, skip_blocks=None):
+    """Returns (logits, caches), caches a per-block list (None: skipped)."""
+    from attendout.numkernel import gelu
+
+    n = params.num_layers
+    layer_masks = [None] * n if layer_masks is None else layer_masks
+    skips = np.zeros(n, dtype=bool) if skip_blocks is None else np.asarray(skip_blocks, bool)
+    x = params.token_embedding[tokens] + params.position_embedding[:len(tokens)]
+    caches = []
+    for layer, mask, skip in zip(params.layers, layer_masks, skips):
+        if skip:
+            caches.append(None)
+            continue
+        a, attn_cache = attn_forward_reference(x, layer.attn, mask)
+        h1, ln1 = ln_forward_reference(x + a, layer.ln1_gain, layer.ln1_bias)
+        ff_pre = h1 @ layer.ff_w1 + layer.ff_b1
+        ff_act = gelu(ff_pre)
+        x, ln2 = ln_forward_reference(h1 + (ff_act @ layer.ff_w2 + layer.ff_b2),
+                                      layer.ln2_gain, layer.ln2_bias)
+        caches.append((attn_cache, ln1, h1, ff_pre, ff_act, ln2))
+    return x[0:1] @ params.head_w + params.head_b, (tokens, caches, x)
+
+
+def task_backward_reference(params, cache, dlogits, grads):
+    from attendout.numkernel import gelu_grad
+
+    tokens, caches, x_final = cache
+    grads.head_w += x_final[0:1].T @ dlogits
+    grads.head_b += dlogits[0]
+    dx = np.zeros_like(x_final)
+    dx[0] = (dlogits @ params.head_w.T)[0]
+    for layer, glayer, block in zip(reversed(params.layers), reversed(grads.layers),
+                                    reversed(caches)):
+        if block is None:
+            continue
+        attn_cache, ln1, h1, ff_pre, ff_act, ln2 = block
+        dr2, dg2, db2 = ln_backward_reference(ln2, layer.ln2_gain, dx)
+        glayer.ln2_gain += dg2
+        glayer.ln2_bias += db2
+        glayer.ff_w2 += ff_act.T @ dr2
+        glayer.ff_b2 += dr2.sum(axis=0)
+        dpre = (dr2 @ layer.ff_w2.T) * gelu_grad(ff_pre)
+        glayer.ff_w1 += h1.T @ dpre
+        glayer.ff_b1 += dpre.sum(axis=0)
+        dr1, dg1, db1 = ln_backward_reference(ln1, layer.ln1_gain, dr2 + dpre @ layer.ff_w1.T)
+        glayer.ln1_gain += dg1
+        glayer.ln1_bias += db1
+        dx = dr1 + attn_backward_reference(attn_cache, dr1, glayer.attn)
+    np.add.at(grads.token_embedding, tokens, dx)
+    grads.position_embedding[:len(tokens)] += dx

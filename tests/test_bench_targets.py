@@ -5,11 +5,12 @@ the arguments the program passes, without running the benchmark."""
 
 import importlib.util
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from attendout import cli, trainer
+from attendout import cli, tasks, trainer
 from attendout.config import parse_config_text
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -101,3 +102,39 @@ def test_traced_run_metrics_are_strict_json(tmp_path, method, section):
               if not k.endswith(".ms_p99")}
     assert [k for k, v in pooled.items() if v is None] == []
     json.dumps(pooled, allow_nan=False)
+
+
+@pytest.mark.parametrize("method,section", [
+    ("none", ""),
+    ("vanilla", "p = 0.1\nmode = scores\n"),
+    ("attendout", "dropout_step = 2\ngnet_lr = 0.3\n"),
+], ids=["none", "vanilla", "attendout"])
+def test_one_forward_and_backward_span_per_sequence(method, section):
+    # A traced job reports the 99th percentile of task_forward and
+    # task_backward only from spans.MIN_PERCENTILE_SAMPLES calls up, and a
+    # short traced `wide` run holds one job of about 2,000 of them: called
+    # once per batch instead of once per sequence, they would report null
+    # and the traced run would be refused. A change that batches them has
+    # to move these hooks in the benchmark first, and this test with it.
+    cfg = parse_config_text(TINY.format(method=method).replace("\n[none]\n", "\n") + section)
+    spans = _load_spans()
+    rec = spans.Recorder("t")
+    restore, _ = spans.install(rec)
+    try:
+        result = trainer.train(cfg)
+    finally:
+        restore()
+    calls = Counter(rec.names[i] for i in rec.name)
+
+    full = tasks.gen_majority_token(cfg.data_n, cfg.seq_len, cfg.vocab, cfg.seed)
+    fractions = (cfg.train_fraction, cfg.dev_fraction, cfg.test_fraction)
+    train_ds, dev_ds, _ = tasks.split(full, fractions, cfg.seed)
+    models = 2 if method == "attendout" else 1  # defender and attacker
+    trained = models * cfg.epochs * len(train_ds)
+    evaluated = models * len(dev_ds)
+    if method == "attendout":
+        assert result.extra["g_updates"] > 0
+        evaluated += models * cfg.dropout_step * result.extra["g_updates"]
+    assert rec.counters["trainer.evaluate.samples"] == evaluated
+    assert calls["models.task_forward"] == trained + evaluated
+    assert calls["models.task_backward"] == trained

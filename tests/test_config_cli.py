@@ -4,10 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from attendout import cli
+from attendout import checks, cli
 from attendout.cli import main
 from attendout.config import parse_config_text
-from attendout.numkernel import ConfigError, DivergenceError, ShapeError
+from attendout.numkernel import ConfigError, DivergenceError, OracleError, ShapeError
 
 MINIMAL = """
 [run]
@@ -209,6 +209,14 @@ def test_cmd_gradcheck_corruption_fails_naming_tensor(capsys):
     assert main(["gradcheck", "--corrupt", "attn.w_v"]) == 1
     err = capsys.readouterr().err
     assert "attn.w_v" in err
+
+
+def test_cmd_gradcheck_oracle_error_exits_two_with_message(monkeypatch, capsys):
+    def failing_check(seed, corrupt=None):
+        raise OracleError("non-finite evaluation at coordinate 3")
+    monkeypatch.setattr(checks, "gradcheck_attention", failing_check)
+    assert main(["gradcheck"]) == 2
+    assert capsys.readouterr().err == "error: non-finite evaluation at coordinate 3\n"
 
 
 # ---------------------------------------------------------------------------

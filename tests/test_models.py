@@ -465,3 +465,27 @@ def test_checkpoint_rejects_meta_that_does_not_fit_config(tmp_path, kind, meta, 
     _write_v1(tmp_path / "c.npz", kind, meta, _arrays(params))
     with pytest.raises(nk.ContractViolation, match=name):
         load_checkpoint(tmp_path / "c.npz")
+
+
+# ---------------------------------------------------------------------------
+# layer norm: row means as sum / d
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("shape", [(16, 32), (64, 128), (1, 32)])
+def test_layer_norm_matches_np_mean_form_bitwise(shape):
+    from attendout.models import _ln_backward, _ln_forward
+    from conftest import ln_backward_reference, ln_forward_reference
+
+    rng = nk.RngState(shape[0]).derive("ln")
+    x = rng.normal_array(shape) * 3.0 + 0.5
+    gain = 1.0 + rng.normal_array(shape[1:]) * 0.1
+    bias = rng.normal_array(shape[1:]) * 0.1
+    dy = rng.normal_array(shape)
+    y, cache = _ln_forward(x, gain, bias)
+    y_ref, cache_ref = ln_forward_reference(x, gain, bias)
+    assert np.array_equal(y, y_ref)
+    for a, b in zip(cache, cache_ref):
+        assert np.array_equal(a, b)
+    for a, b in zip(_ln_backward(cache, gain, dy), ln_backward_reference(cache_ref, gain, dy)):
+        assert np.array_equal(a, b)

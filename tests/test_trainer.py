@@ -204,6 +204,21 @@ def test_update_on_batch_allocates_one_gradient_tree(monkeypatch):
     assert calls == [type(params)]
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_update_on_batch_rejects_nonfinite_loss_before_the_step(monkeypatch, bad):
+    params = init_task_model(GRAD_CFG, 9)
+    before = params.flat.copy()
+    state = OptimizerState("adam")
+
+    def nonfinite_loss(logits, labels):
+        return bad, np.full(logits.shape, 0.1)
+    monkeypatch.setattr(trainer, "cross_entropy_logits", nonfinite_loss)
+    with pytest.raises(DivergenceError, match="non-finite batch loss"):
+        trainer._update_on_batch(params, GRAD_BATCH, 0.01, state)
+    assert np.array_equal(params.flat, before)
+    assert state.t == 0
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
