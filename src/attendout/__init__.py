@@ -65,6 +65,7 @@ from .trainer import (
     TrainResult,
     dropout_step,
     evaluate,
+    optimizer_state,
     optimizer_step,
     sync_models,
     train,

@@ -85,8 +85,6 @@ def _write_metrics(out: Path, result: TrainResult) -> None:
 
 
 def _write_mask_trace(out: Path, result: TrainResult) -> None:
-    if not result.mask_trace:
-        return
     with open(out / "mask_trace.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["dropout_step", "layer", "mean_drop_prob"])

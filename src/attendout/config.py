@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 from .models import ModelConfig
@@ -268,11 +269,15 @@ def _validate(cfg: TrainConfig) -> None:
         raise ConfigError(f"batch_size must be >= 1, got {cfg.batch_size}")
     if cfg.opt_algo not in ("sgd", "adam"):
         raise ConfigError(f"optimizer algo must be sgd or adam, got {cfg.opt_algo!r}")
+    if not math.isfinite(cfg.lr):
+        raise ConfigError(f"lr must be finite, got {cfg.lr}")
     if cfg.method == METHOD_ATTENDOUT:
         if cfg.dropout_step < 1:
             raise ConfigError(f"dropout_step must be >= 1, got {cfg.dropout_step}")
-        if cfg.gnet_dim < 0:
-            raise ConfigError(f"gnet_dim must be >= 0, got {cfg.gnet_dim}")
+        if not math.isfinite(cfg.gnet_lr):
+            raise ConfigError(f"gnet_lr must be finite, got {cfg.gnet_lr}")
+        if cfg.gnet_dim < 1:
+            raise ConfigError(f"gnet_dim must resolve to >= 1, got {cfg.gnet_dim}")
         if cfg.reward not in ("signed", "gap"):
             raise ConfigError(f"reward must be signed or gap, got {cfg.reward!r}")
         if cfg.eval_pool not in ("dev", "train_slice"):

@@ -378,27 +378,24 @@ def gnet_sample_masks(gparams: GeneratorParams, tokens, num_layers: int,
                       rng: RngState) -> MaskDecision:
     """Sample one dropout decision: per layer, unit (i, j) drops with
     probability sigmoid(score_ij / tau), via the Gumbel-max trick."""
-    scores, _, tokens = gnet_scores(gparams, tokens, num_layers)
-    length = tokens.size
+    scores, _, _ = gnet_scores(gparams, tokens, num_layers)
     masks, fractions, mean_probs = [], [], []
-    logprob_total = 0.0
     for s in scores:
         logits = s / gparams.tau
-        bits, logprobs = gumbel_binary_sample_array(logits, rng)
+        bits = gumbel_binary_sample_array(logits, rng)
         masks.append(bits)
-        logprob_total += float(logprobs.sum())
         fractions.append(float(bits.mean()))
         mean_probs.append(float(sigmoid(logits).mean()))
-    norm = num_layers * length * length
     return MaskDecision(
         masks=masks,
-        logprob=logprob_total / norm,
+        logprob=_normalized_logprob(scores, masks, gparams.tau),
         layer_drop_fraction=np.array(fractions),
         layer_mean_prob=np.array(mean_probs),
     )
 
 
 def _normalized_logprob(scores, masks, tau: float) -> float:
+    """Mean per-unit log probability of a decision's bits under the scores."""
     total = 0.0
     for s, bits in zip(scores, masks):
         logits = s / tau

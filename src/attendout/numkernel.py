@@ -258,14 +258,10 @@ def bernoulli_array(p: float, shape, rng: RngState) -> np.ndarray:
     return (rng.uniform_array(n) < p).astype(np.uint8).reshape(shape)
 
 
-def gumbel_binary_sample_array(logits: np.ndarray, rng: RngState) -> tuple[np.ndarray, np.ndarray]:
+def gumbel_binary_sample_array(logits: np.ndarray, rng: RngState) -> np.ndarray:
     """Binary actions via the Gumbel-max trick over the two logits {logit, 0}
-    of each unit.
-
-    Returns the sampled bits (1 with probability sigmoid(logit)) and the log
-    probability of each action actually taken. Units are visited in
-    row-major order and consume two draws each, one Gumbel per action.
-    """
+    of each unit: bit 1 with probability sigmoid(logit). Units are visited
+    in row-major order and consume two draws each, one Gumbel per action."""
     logits = np.asarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(logits)):
         raise ValueError("logits must be finite")
@@ -274,9 +270,7 @@ def gumbel_binary_sample_array(logits: np.ndarray, rng: RngState) -> tuple[np.nd
     g = -np.log(-np.log(u))
     g_one = g[0::2].reshape(logits.shape)
     g_zero = g[1::2].reshape(logits.shape)
-    bits = (logits + g_one > g_zero).astype(np.uint8)
-    logprobs = log_sigmoid(np.where(bits == 1, logits, -logits))
-    return bits, logprobs
+    return (logits + g_one > g_zero).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 The generator is rewarded once per dropout step by the outcome of the
 defender/attacker game: attacker scoring higher earns +1, lower earns -1,
 a tie earns 0 (a "gap" scheme using the raw score difference is available
-as a config option). A moving-average baseline is subtracted before the
-score-function update; it shifts variance, not the expected update. The
-update itself is plain gradient ascent,
+as a config option). The moving-average baseline absorbs r first, so b
+below is the updated baseline and r - b = decay * (r - b_prev): zero on
+the first window, which seeds b with r, and nonzero on a tie (r = 0)
+whenever b_prev is. The update itself is plain gradient ascent,
 
     theta <- theta + lr * (r - b) * sum_t grad_logprob_t
 

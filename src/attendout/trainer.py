@@ -9,8 +9,11 @@ decision is kept for the generator update. At the window boundary both
 models are scored on T held-out samples drawn without replacement; the win
 sign becomes the reward, the moving-average baseline absorbs it, the
 generator takes one policy-gradient step, the kept decisions are released,
-and both task models are re-synchronized to a single source sampled with
-higher probability for the better scorer.
+and both task models are re-synchronized in place to a single source
+sampled with higher probability for the better scorer. Each task model's
+buffers are made once: its optimizer state owns its gradient tree and
+moments, a batch clears the tree and sums into it, and the re-sync copies
+the source's parameters and moments into the other side.
 
 All randomness flows through named counter-based streams, so two runs with
 the same config and seed produce byte-identical metrics.
@@ -18,7 +21,7 @@ the same config and seed produce byte-identical metrics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,40 +78,42 @@ from .regularizers import (
 
 @dataclass
 class OptimizerState:
-    """Hyperparameters plus whole-model moment vectors made on first use:
-    m is the SGD velocity or Adam's first moment, v Adam's second moment."""
+    """One model's buffers, made once by `optimizer_state`: its gradient
+    tree, and whole-model vectors m (SGD velocity or Adam's first moment)
+    and v (Adam's second moment)."""
 
+    grads: ptree.ParamTree
+    m: np.ndarray
+    v: np.ndarray
     algo: str = "sgd"
     momentum: float = 0.0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    m: np.ndarray | None = None
-    v: np.ndarray | None = None
+
+
+def optimizer_state(params, algo: str = "sgd", momentum: float = 0.0) -> OptimizerState:
+    """Zeroed optimizer buffers shaped like params."""
+    return OptimizerState(ptree.zeros_like(params), np.zeros_like(params.flat),
+                          np.zeros_like(params.flat), algo, momentum)
 
 
 def optimizer_step(params, grads, lr: float, state: OptimizerState):
-    """One in-place SGD/momentum/Adam step over the whole parameter buffer;
-    returns (params, state)."""
+    """One in-place SGD/momentum/Adam step over the whole parameter buffer."""
     bad = ptree.first_nonfinite(grads)
     if bad is not None:
         raise DivergenceError(f"non-finite gradient in {bad}")
     state.t += 1
-    p, g = params.flat, grads.flat
+    p, g, m, v = params.flat, grads.flat, state.m, state.v
     if state.algo == "sgd":
         if state.momentum > 0.0:
-            if state.m is None:
-                state.m = np.zeros_like(p)
-            state.m *= state.momentum
-            state.m += g
-            p -= lr * state.m
+            m *= state.momentum
+            m += g
+            p -= lr * m
         else:
             p -= lr * g
     elif state.algo == "adam":
-        if state.m is None:
-            state.m, state.v = np.zeros_like(p), np.zeros_like(p)
-        m, v = state.m, state.v
         m *= state.beta1
         m += (1 - state.beta1) * g
         v *= state.beta2
@@ -123,12 +128,6 @@ def optimizer_step(params, grads, lr: float, state: OptimizerState):
         p -= m_hat
     else:
         raise ConfigError(f"unknown optimizer {state.algo!r}")
-    return params, state
-
-
-def _copy_opt_state(state: OptimizerState) -> OptimizerState:
-    moments = {k: getattr(state, k).copy() for k in ("m", "v") if getattr(state, k) is not None}
-    return replace(state, **moments)
 
 
 # ---------------------------------------------------------------------------
@@ -194,25 +193,31 @@ def evaluate(params: TaskModelParams, samples) -> float:
 
 
 def sync_models(defender: TaskModelParams, attacker: TaskModelParams,
-                eval_defender: float, eval_attacker: float, rng: RngState):
+                opt_defender: OptimizerState, opt_attacker: OptimizerState,
+                eval_defender: float, eval_attacker: float, rng: RngState) -> str:
     """Collapse both task models onto one source, sampled with probability
-    softmax(eval scores); returns (defender', attacker', source_tag), where
-    the two models are independent copies of the source."""
+    softmax(eval scores), and return its tag. The source's parameters,
+    moments and step count are copied in place into the other model and
+    its optimizer state, so each side keeps its own buffers."""
     if vars(defender.config) != vars(attacker.config):
         raise ContractViolation("defender and attacker are structurally different")
     p_attacker = float(sigmoid(eval_attacker - eval_defender))
     pick_attacker = rng.uniform() < p_attacker
-    source = attacker if pick_attacker else defender
-    return (ptree.copy_tree(source), ptree.copy_tree(source),
-            "attacker" if pick_attacker else "defender")
+    sides = [(defender, opt_defender), (attacker, opt_attacker)]
+    (dst, dst_opt), (src, src_opt) = sides if pick_attacker else sides[::-1]
+    np.copyto(dst.flat, src.flat)
+    np.copyto(dst_opt.m, src_opt.m)
+    np.copyto(dst_opt.v, src_opt.v)
+    dst_opt.t = src_opt.t
+    return "attacker" if pick_attacker else "defender"
 
 
 def _update_on_batch(params, batch, lr, opt_state, item_masks=None, skip_blocks=None):
     """Forward the batch one sequence at a time, item i under the layer
     masks item_masks[i] and every item under skip_blocks; average the loss,
-    sum every item's gradient into one buffer and apply one optimizer step.
-    Returns the loss; a non-finite loss raises DivergenceError before the
-    step."""
+    sum every item's gradient into opt_state's cleared gradient tree and
+    apply one optimizer step. Returns the loss; a non-finite loss raises
+    DivergenceError before the step."""
     item_masks = [None] * len(batch) if item_masks is None else item_masks
     logits_rows = []
     caches = []
@@ -225,7 +230,8 @@ def _update_on_batch(params, batch, lr, opt_state, item_masks=None, skip_blocks=
     loss, dlogits = cross_entropy_logits(np.stack(logits_rows), labels)
     if not np.isfinite(loss):
         raise DivergenceError(f"non-finite batch loss {loss}")
-    grads = ptree.zeros_like(params)
+    grads = opt_state.grads
+    grads.flat.fill(0.0)
     for i, cache in enumerate(caches):
         task_backward(cache, dlogits[i:i + 1], grads)
     optimizer_step(params, grads, lr, opt_state)
@@ -240,7 +246,8 @@ def _update_on_batch(params, batch, lr, opt_state, item_masks=None, skip_blocks=
 @dataclass
 class AttendOutGame:
     """decisions holds the open window's (tokens, MaskDecision) pairs;
-    windows_done counts finished windows, one generator update each."""
+    windows_done counts finished windows, one generator update each. The
+    task models and optimizer states are never reassigned; sync writes into them."""
 
     defender: TaskModelParams
     attacker: TaskModelParams
@@ -310,12 +317,8 @@ def dropout_step(game: AttendOutGame, stream: BatchStream, cfg: TrainConfig):
             "drop_prob": [float(v) for v in layer_probs],
         })
 
-        game.defender, game.attacker, source = sync_models(
-            game.defender, game.attacker, eval_d, eval_a, game.sync_rng
-        )
-        src_state = game.opt_attacker if source == "attacker" else game.opt_defender
-        game.opt_defender = _copy_opt_state(src_state)
-        game.opt_attacker = _copy_opt_state(src_state)
+        sync_models(game.defender, game.attacker, game.opt_defender, game.opt_attacker,
+                    eval_d, eval_a, game.sync_rng)
         game.boundary_identical &= ptree.trees_equal(game.defender, game.attacker)
         game.windows_done += 1
     game.decisions.clear()
@@ -360,7 +363,7 @@ def train(config: TrainConfig) -> TrainResult:
 
 def _train_single(cfg: TrainConfig, mcfg: ModelConfig, train_ds, dev_ds, root):
     model = init_task_model(mcfg, cfg.seed)
-    opt = OptimizerState(cfg.opt_algo, cfg.momentum)
+    opt = optimizer_state(model, cfg.opt_algo, cfg.momentum)
     stream = BatchStream(train_ds.examples, cfg.batch_size, cfg.epochs,
                          root.derive("data"))
     mask_rng = root.derive("masks")
@@ -425,8 +428,8 @@ def _train_attendout(cfg: TrainConfig, mcfg: ModelConfig, train_ds, dev_ds, root
     )
     game = AttendOutGame(
         defender=defender, attacker=attacker, generator=generator,
-        opt_defender=OptimizerState(cfg.opt_algo, cfg.momentum),
-        opt_attacker=OptimizerState(cfg.opt_algo, cfg.momentum),
+        opt_defender=optimizer_state(defender, cfg.opt_algo, cfg.momentum),
+        opt_attacker=optimizer_state(attacker, cfg.opt_algo, cfg.momentum),
         baseline=Baseline(decay=cfg.baseline_decay),
         eval_pool=eval_pool,
         policy_rng=root.derive("policy"),

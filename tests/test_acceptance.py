@@ -246,7 +246,7 @@ def test_criterion_6_gumbel_sampler_statistics():
     rng = nk.RngState(6).derive("crit6")
     details = []
     for logit in (-2.0, 0.0, 1.0, 3.0):
-        bits, _ = nk.gumbel_binary_sample_array(np.full(n, logit), rng)
+        bits = nk.gumbel_binary_sample_array(np.full(n, logit), rng)
         p = 1.0 / (1.0 + math.exp(-logit))
         sigma = math.sqrt(p * (1 - p) / n)
         dev = abs(float(bits.mean()) - p)

@@ -138,6 +138,17 @@ def test_cmd_train_writes_artifacts(tmp_path):
     assert all(set(row) >= {"step", "epoch", "method", "loss_D"} for row in rows)
 
 
+def test_every_manifest_output_exists_after_a_run_without_trace(tmp_path):
+    cfg_path = _write(tmp_path, "run.ini", MINIMAL)
+    out = tmp_path / "out"
+    assert main(["train", "--config", cfg_path, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert all((out / name).exists() for name in manifest["outputs"].values())
+    # method none samples no masks: the trace is its header alone
+    assert (out / "mask_trace.csv").read_text().splitlines() == \
+        ["dropout_step,layer,mean_drop_prob"]
+
+
 def test_cmd_train_rerun_is_byte_identical(tmp_path):
     cfg_path = _write(tmp_path, "run.ini",
                       MINIMAL.replace("method = none", "method = attendout")
@@ -175,9 +186,15 @@ SCHEDULED_2_LAYERS = (MINIMAL.replace("method = none", "method = scheduled")
     MINIMAL.replace("vocab = 6", "vocab = 2"),
     SCHEDULED_2_LAYERS + "\n[scheduled]\nschedule_file = {tmp}/missing.schedule\n",
     SCHEDULED_2_LAYERS + "\n[scheduled]\nschedule_file = {tmp}/layer5.schedule\n",
+    # gnet_dim 0 resolves to d_model // 2 = 0
+    ATTENDOUT_CFG.replace("d_model = 8", "d_model = 1").replace("d_ff = 16", "d_ff = 4"),
+    MINIMAL.replace("lr = 0.003", "lr = nan"),
+    MINIMAL.replace("lr = 0.003", "lr = inf"),
+    ATTENDOUT_CFG.replace("gnet_lr = 0.3", "gnet_lr = nan"),
 ], ids=["baseline_decay", "gnet_dim", "eval_slice_fraction", "brackets_even_seq_len",
         "scheduled_slope_count", "fraction_sum", "heads", "eval_pool_below_T",
-        "majority_vocab", "schedule_file_missing", "schedule_file_layer_out_of_range"])
+        "majority_vocab", "schedule_file_missing", "schedule_file_layer_out_of_range",
+        "gnet_dim_resolves_to_zero", "lr_nan", "lr_inf", "gnet_lr_nan"])
 def test_cmd_train_bad_value_fails_before_run_dir(tmp_path, capsys, text):
     _write(tmp_path, "layer5.schedule", "0 0 0.5\n5 0 0.5\n1 0 0.5\n")
     cfg_path = _write(tmp_path, "bad.ini", text.replace("{tmp}", str(tmp_path)))

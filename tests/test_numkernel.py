@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from attendout import numkernel as nk
+from attendout.models import _normalized_logprob
 from conftest import gumbel_binary_sample
 
 
@@ -212,21 +213,28 @@ def test_bernoulli_rejects_bad_probability(rng):
 # ---------------------------------------------------------------------------
 
 
+# A decision's log probability is models._normalized_logprob over its
+# layers' sampled bits: the mean per-unit log probability, so the 20 and 50
+# units below are spread over square layers.
+
+
 def test_gumbel_symmetric_logprob(rng):
-    _, logprobs = nk.gumbel_binary_sample_array(np.zeros(20), rng)
-    assert np.all(np.abs(logprobs - math.log(0.5)) <= 1e-12)
+    scores = [np.zeros((2, 2))] * 5
+    masks = [nk.gumbel_binary_sample_array(s, rng) for s in scores]
+    assert abs(_normalized_logprob(scores, masks, 1.0) - math.log(0.5)) <= 1e-12
 
 
 def test_gumbel_saturated_logit(rng):
-    bits, logprobs = nk.gumbel_binary_sample_array(np.full(50, 20.0), rng)
-    assert np.all(bits == 1)
-    assert np.all(np.abs(logprobs) <= 1e-8)
+    scores = [np.full((5, 5), 20.0)] * 2
+    masks = [nk.gumbel_binary_sample_array(s, rng) for s in scores]
+    assert all(np.all(bits == 1) for bits in masks)
+    assert abs(_normalized_logprob(scores, masks, 1.0)) <= 1e-8
 
 
 def test_gumbel_empirical_rate_within_ci():
     rng = nk.RngState(17).derive("gumbel")
     n = 200_000
-    bits, _ = nk.gumbel_binary_sample_array(np.full(n, 1.0), rng)
+    bits = nk.gumbel_binary_sample_array(np.full(n, 1.0), rng)
     p = 1 / (1 + math.exp(-1.0))
     sigma = math.sqrt(p * (1 - p) / n)
     assert abs(bits.mean() - p) <= 3 * sigma
@@ -234,20 +242,22 @@ def test_gumbel_empirical_rate_within_ci():
 
 def test_gumbel_branch_logprobs_sum_to_one():
     for logit in (-3.0, -0.5, 0.0, 1.0, 4.0):
-        lp_one = float(nk.log_sigmoid(logit))
-        lp_zero = float(nk.log_sigmoid(-logit))
+        score = [np.array([[logit]])]
+        lp_one = _normalized_logprob(score, [np.ones((1, 1))], 1.0)
+        lp_zero = _normalized_logprob(score, [np.zeros((1, 1))], 1.0)
         assert abs(math.exp(lp_one) + math.exp(lp_zero) - 1.0) <= 1e-12
 
 
 def test_gumbel_scalar_and_array_agree():
     logits = nk.RngState(9).normal_array((5, 5))
     a, b = nk.RngState(33), nk.RngState(33)
-    bits_vec, lp_vec = nk.gumbel_binary_sample_array(logits, a)
+    bits_vec = nk.gumbel_binary_sample_array(logits, a)
     for i in range(5):
         for j in range(5):
             bit, lp = gumbel_binary_sample(logits[i, j], b)
             assert bit == bits_vec[i, j]
-            assert lp == lp_vec[i, j]
+            unit = np.s_[i:i + 1, j:j + 1]
+            assert lp == _normalized_logprob([logits[unit]], [bits_vec[unit]], 1.0)
     assert a.counter == b.counter
 
 

@@ -126,6 +126,22 @@ def test_zero_advantage_leaves_params_bitwise():
     assert ptree.trees_equal(g, before)
 
 
+def test_tie_after_negative_baseline_steps_by_decayed_advantage():
+    # update_baseline runs first: b = 0.9 * -0.5, so a tie's advantage is
+    # 0 - b = decay * (0 - b_prev) = 0.45, not zero
+    g = _toy_generator()
+    before = ptree.copy_tree(g)
+    rng = nk.RngState(1)
+    decisions = [(TOY_TOKENS, gnet_sample_masks(g, TOY_TOKENS, 1, rng)) for _ in range(3)]
+    rewards = compute_rewards(0.7, 0.7)
+    baseline = update_baseline(Baseline(-0.5, 0.9, True), rewards)
+    reinforce_update(g, decisions, rewards, baseline, lr=1.0)
+    total = sum(ptree.flatten(logprob_grad(before, tokens, d)) for tokens, d in decisions)
+    delta = g.flat - before.flat
+    assert np.any(delta != 0)
+    assert np.abs(delta - 0.9 * 0.5 * total).max() <= 1e-12 * np.abs(total).max()
+
+
 def test_single_decision_update_direction():
     g = _toy_generator()
     rng = nk.RngState(2)

@@ -23,9 +23,9 @@ from attendout.tasks import gen_majority_token, split
 from attendout.trainer import (
     AttendOutGame,
     BatchStream,
-    OptimizerState,
     dropout_step,
     evaluate,
+    optimizer_state,
     optimizer_step,
     sync_models,
     train,
@@ -91,7 +91,7 @@ def test_optimizer_zero_lr_is_identity():
     params = _scalar_params()
     before = ptree.copy_tree(params)
     grads = ptree.copy_tree(params)
-    optimizer_step(params, grads, 0.0, OptimizerState("sgd"))
+    optimizer_step(params, grads, 0.0, optimizer_state(params, "sgd"))
     assert ptree.trees_equal(params, before)
 
 
@@ -99,14 +99,14 @@ def test_optimizer_sgd_step():
     params = _scalar_params()
     grads = ptree.zeros_like(params)
     grads.head_b[0] = 1.0
-    optimizer_step(params, grads, 0.1, OptimizerState("sgd"))
+    optimizer_step(params, grads, 0.1, optimizer_state(params, "sgd"))
     assert params.head_b[0] == pytest.approx(-0.1)
 
 
 def test_optimizer_adam_converges_on_quadratic():
     params = _scalar_params()
     params.head_b[...] = [1.0, -2.0]
-    state = OptimizerState("adam")
+    state = optimizer_state(params, "adam")
     for _ in range(100):
         grads = ptree.zeros_like(params)
         grads.head_b[...] = params.head_b  # grad of 0.5 * theta^2
@@ -116,7 +116,7 @@ def test_optimizer_adam_converges_on_quadratic():
 
 def test_optimizer_momentum_accumulates():
     params = _scalar_params()
-    state = OptimizerState("sgd", momentum=0.9)
+    state = optimizer_state(params, "sgd", momentum=0.9)
     grads = ptree.zeros_like(params)
     grads.head_b[0] = 1.0
     optimizer_step(params, grads, 0.1, state)
@@ -130,7 +130,7 @@ def test_optimizer_rejects_nonfinite_gradient():
     grads = ptree.zeros_like(params)
     grads.head_w[0, 0] = float("nan")
     with pytest.raises(DivergenceError) as err:
-        optimizer_step(params, grads, 0.1, OptimizerState("sgd"))
+        optimizer_step(params, grads, 0.1, optimizer_state(params, "sgd"))
     assert "head_w" in str(err.value)
 
 
@@ -164,7 +164,7 @@ def test_batch_gradient_buffer_matches_per_item_trees_bitwise(monkeypatch):
     seen = []  # the buffer handed to the optimizer, which is stubbed out
     monkeypatch.setattr(trainer, "optimizer_step",
                         lambda p, grads, lr, state: seen.append(grads))
-    trainer._update_on_batch(params, GRAD_BATCH, 0.01, OptimizerState("adam"),
+    trainer._update_on_batch(params, GRAD_BATCH, 0.01, optimizer_state(params, "adam"),
                              item_masks, GRAD_SKIPS)
     [batch_grads] = seen
 
@@ -189,26 +189,33 @@ def test_batch_gradient_buffer_matches_per_item_trees_bitwise(monkeypatch):
     assert np.array_equal(batch_grads.flat, reference.flat)
 
 
-def test_update_on_batch_allocates_one_gradient_tree(monkeypatch):
-    params = init_task_model(GRAD_CFG, 9)
+def _count_tree_allocations(monkeypatch):
+    """List that gains one entry per ptree.zeros_like or copy_tree call."""
     calls = []
-    zeros_like = ptree.zeros_like
+    for name in ("zeros_like", "copy_tree"):
+        fn = getattr(ptree, name)
+        monkeypatch.setattr(ptree, name, lambda tree, fn=fn: calls.append(1) or fn(tree))
+    return calls
 
-    def counting(tree):
-        calls.append(type(tree))
-        return zeros_like(tree)
-    monkeypatch.setattr(ptree, "zeros_like", counting)
-    loss = trainer._update_on_batch(params, GRAD_BATCH, 0.01, OptimizerState("adam"),
+
+def test_update_on_batch_allocates_no_gradient_tree(monkeypatch):
+    params = init_task_model(GRAD_CFG, 9)
+    state = optimizer_state(params, "adam")
+    grads = state.grads
+    grads.flat.fill(np.nan)  # a stale tree must be cleared, not summed into
+    calls = _count_tree_allocations(monkeypatch)
+    loss = trainer._update_on_batch(params, GRAD_BATCH, 0.01, state,
                                     _grad_masks(), GRAD_SKIPS)
     assert np.isfinite(loss)
-    assert calls == [type(params)]
+    assert calls == []
+    assert state.grads is grads and np.isfinite(grads.flat).all()
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
 def test_update_on_batch_rejects_nonfinite_loss_before_the_step(monkeypatch, bad):
     params = init_task_model(GRAD_CFG, 9)
     before = params.flat.copy()
-    state = OptimizerState("adam")
+    state = optimizer_state(params, "adam")
 
     def nonfinite_loss(logits, labels):
         return bad, np.full(logits.shape, 0.1)
@@ -265,43 +272,50 @@ def test_evaluate_rejects_empty():
 # ---------------------------------------------------------------------------
 
 
+SYNC_CFG = ModelConfig(vocab_size=6, max_len=4, num_layers=1, d_model=8,
+                       d_ff=16, num_heads=1, num_classes=2)
+
+
+def _sync_pair(cfg_d=SYNC_CFG, cfg_a=SYNC_CFG):
+    """Two different models, each with an Adam state whose moments and step
+    count differ from the other's."""
+    d, a = init_task_model(cfg_d, 1), init_task_model(cfg_a, 2)
+    opt_d, opt_a = optimizer_state(d, "adam"), optimizer_state(a, "adam")
+    opt_a.m[...], opt_a.v[...], opt_a.t = 0.5, 0.25, 3
+    return d, a, opt_d, opt_a
+
+
 def test_sync_copy_invariant():
-    cfg = ModelConfig(vocab_size=6, max_len=4, num_layers=1, d_model=8,
-                      d_ff=16, num_heads=1, num_classes=2)
-    d = init_task_model(cfg, 1)
-    a = init_task_model(cfg, 2)
     rng = RngState(3)
     for _ in range(10):
-        d2, a2, source = sync_models(d, a, 0.4, 0.6, rng)
-        assert ptree.trees_equal(d2, a2)
-        assert source in ("defender", "attacker")
-        origin = a if source == "attacker" else d
-        assert ptree.trees_equal(d2, origin)
+        d, a, opt_d, opt_a = _sync_pair()
+        origin = {name: (model.flat.copy(), opt.m.copy(), opt.v.copy(), opt.t)
+                  for name, model, opt in (("defender", d, opt_d), ("attacker", a, opt_a))}
+        source = sync_models(d, a, opt_d, opt_a, 0.4, 0.6, rng)
+        flat, m, v, t = origin[source]
+        for model, opt in ((d, opt_d), (a, opt_a)):
+            assert np.array_equal(model.flat, flat)
+            assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
+            assert opt.t == t
 
 
 def test_sync_tie_is_a_coin_flip():
-    cfg = ModelConfig(vocab_size=6, max_len=4, num_layers=1, d_model=8,
-                      d_ff=16, num_heads=1, num_classes=2)
-    d = init_task_model(cfg, 1)
-    a = init_task_model(cfg, 2)
+    d, a, opt_d, opt_a = _sync_pair()
     rng = RngState(4).derive("coin")
     n = 10_000
     picks = sum(
-        sync_models(d, a, 0.7, 0.7, rng)[2] == "attacker" for _ in range(n)
+        sync_models(d, a, opt_d, opt_a, 0.7, 0.7, rng) == "attacker" for _ in range(n)
     )
     sigma = math.sqrt(0.25 / n)
     assert abs(picks / n - 0.5) <= 3 * sigma
 
 
 def test_sync_favors_better_model_by_sigmoid():
-    cfg = ModelConfig(vocab_size=6, max_len=4, num_layers=1, d_model=8,
-                      d_ff=16, num_heads=1, num_classes=2)
-    d = init_task_model(cfg, 1)
-    a = init_task_model(cfg, 2)
+    d, a, opt_d, opt_a = _sync_pair()
     rng = RngState(5).derive("coin")
     n = 10_000
     picks = sum(
-        sync_models(d, a, 0.0, 1.0, rng)[2] == "attacker" for _ in range(n)
+        sync_models(d, a, opt_d, opt_a, 0.0, 1.0, rng) == "attacker" for _ in range(n)
     )
     p = 1 / (1 + math.exp(-1.0))
     sigma = math.sqrt(p * (1 - p) / n)
@@ -309,13 +323,10 @@ def test_sync_favors_better_model_by_sigmoid():
 
 
 def test_sync_rejects_structural_mismatch():
-    small = ModelConfig(vocab_size=6, max_len=4, num_layers=1, d_model=8,
-                        d_ff=16, num_heads=1, num_classes=2)
     big = ModelConfig(vocab_size=6, max_len=4, num_layers=2, d_model=8,
                       d_ff=16, num_heads=1, num_classes=2)
     with pytest.raises(ContractViolation):
-        sync_models(init_task_model(small, 1), init_task_model(big, 2),
-                    0.5, 0.5, RngState(0))
+        sync_models(*_sync_pair(cfg_a=big), 0.5, 0.5, RngState(0))
 
 
 # ---------------------------------------------------------------------------
@@ -383,14 +394,15 @@ def _fresh_game(cfg, generator=None, seed=None):
     mcfg = ModelConfig(cfg.vocab, cfg.seq_len, cfg.layers, cfg.d_model,
                        cfg.d_ff, cfg.heads, 2)
     defender = init_task_model(mcfg, seed)
+    attacker = ptree.copy_tree(defender)
     root = RngState(seed)
     game = AttendOutGame(
         defender=defender,
-        attacker=ptree.copy_tree(defender),
+        attacker=attacker,
         generator=generator if generator is not None else _never_drop_generator(
             dim=cfg.d_model // 2, vocab=cfg.vocab),
-        opt_defender=OptimizerState(cfg.opt_algo, cfg.momentum),
-        opt_attacker=OptimizerState(cfg.opt_algo, cfg.momentum),
+        opt_defender=optimizer_state(defender, cfg.opt_algo, cfg.momentum),
+        opt_attacker=optimizer_state(attacker, cfg.opt_algo, cfg.momentum),
         baseline=Baseline(decay=0.9),
         eval_pool=list(dev_ds.examples),
         policy_rng=root.derive("policy"),
@@ -417,6 +429,60 @@ def test_dropout_step_never_drop_policy_is_degenerate():
     # a zero advantage leaves the generator untouched bitwise
     assert ptree.trees_equal(game.generator, g_before)
     assert max(boundary["drop_prob"]) <= 1e-9
+
+
+def test_dropout_step_keeps_its_models_and_optimizer_states():
+    cfg = _attendout_cfg(seed=2, epochs=1, T=3)
+    game, stream = _fresh_game(cfg)
+    held = [game.defender, game.attacker, game.opt_defender, game.opt_attacker]
+    dropout_step(game, stream, cfg)
+    assert game.windows_done == 1
+    assert all(now is then for now, then in zip(
+        [game.defender, game.attacker, game.opt_defender, game.opt_attacker], held))
+
+
+def test_synced_models_and_optimizer_states_stay_independent():
+    cfg = _attendout_cfg(seed=2, epochs=1, T=3)
+    game, stream = _fresh_game(cfg)
+    dropout_step(game, stream, cfg)
+    d, a, opt_d, opt_a = game.defender, game.attacker, game.opt_defender, game.opt_attacker
+    for mine, theirs in ((d.flat, a.flat), (opt_d.m, opt_a.m), (opt_d.v, opt_a.v),
+                         (opt_d.grads.flat, opt_a.grads.flat)):
+        assert not np.shares_memory(mine, theirs)
+    attacker_before = (a.flat.copy(), opt_a.m.copy(), opt_a.v.copy(), opt_a.t)
+    trainer._update_on_batch(d, game.eval_pool[:4], 0.01, opt_d)
+    assert not np.array_equal(d.flat, a.flat)
+    assert np.array_equal(a.flat, attacker_before[0])
+    assert np.array_equal(opt_a.m, attacker_before[1])
+    assert np.array_equal(opt_a.v, attacker_before[2])
+    assert opt_a.t == attacker_before[3]
+
+
+@pytest.mark.parametrize("epochs", [1, 3])
+def test_attendout_run_allocates_no_tree_per_step(monkeypatch, epochs):
+    # the never-drop policy ties every window, so the generator update
+    # takes its zero-advantage exit and the count is the task models' alone
+    calls = _count_tree_allocations(monkeypatch)
+    cfg = _attendout_cfg(seed=5, epochs=epochs, T=3)
+    game, stream = _fresh_game(cfg)
+    while stream.remaining > 0:
+        dropout_step(game, stream, cfg)
+    assert game.windows_done == 8 * epochs // 3
+    # the attacker's copy and the two optimizer states' gradient trees
+    assert len(calls) == 3
+
+
+def test_tie_window_after_negative_baseline_moves_generator():
+    # the never-drop policy makes the window a tie (r = 0); the baseline
+    # absorbs r first, so the advantage is 0.9 * (0 - b_prev) > 0
+    cfg = _attendout_cfg(seed=2, epochs=1, T=3)
+    game, stream = _fresh_game(cfg)
+    game.baseline = Baseline(-0.5, 0.9, True)
+    before = game.generator.flat.copy()
+    boundary = dropout_step(game, stream, cfg)[-1]
+    assert boundary["reward_mean"] == 0.0
+    assert boundary["baseline"] == pytest.approx(-0.45)
+    assert not np.array_equal(game.generator.flat, before)
 
 
 def test_dropout_step_unit_window_counts():
