@@ -133,19 +133,24 @@ class AttentionParams(ptree.ParamTree):
 
 @dataclass
 class AttentionCache:
-    """Forward intermediates needed by attn_backward; q query rows of L."""
+    """Forward intermediates needed by attn_backward; q query rows of L.
+    With q == L the heads' Q, K and V are kept; with q < L only the
+    products the folded path forms (see attn_forward)."""
 
     mask: MaskMatrix | None
     params: AttentionParams
     x: np.ndarray
     pre: np.ndarray                      # q x d_model, input to w_o
     # regular modes
-    qh: np.ndarray | None = None         # (H, q, d_k)
-    kh: np.ndarray | None = None         # (H, L, d_k)
+    qh: np.ndarray | None = None         # (H, q, d_k), q == L
+    kh: np.ndarray | None = None         # (H, L, d_k), q == L
     vh: np.ndarray | None = None
     scores: np.ndarray | None = None     # (H, q, L), as fed to softmax
     attn: np.ndarray | None = None       # (H, q, L), post-softmax
     attn_used: np.ndarray | None = None  # post-mask weights (WEIGHTS mode)
+    q_blocks: np.ndarray | None = None   # (H q, d_model), block-diagonal Q, q < L
+    qk: np.ndarray | None = None         # (H q, d_model), q_blocks @ w_k', q < L
+    ax: np.ndarray | None = None         # (H q, d_model), weights @ x, q < L
 
 
 def _split_heads(m: np.ndarray, num_heads: int) -> np.ndarray:
@@ -158,6 +163,27 @@ def _split_heads(m: np.ndarray, num_heads: int) -> np.ndarray:
 def _merge_heads(t: np.ndarray) -> np.ndarray:
     num_heads, length, d_k = t.shape
     return np.ascontiguousarray(t.transpose(1, 0, 2).reshape(length, num_heads * d_k))
+
+
+def _block_diagonal(m: np.ndarray, num_heads: int) -> np.ndarray:
+    """(r, H c) with the heads side by side -> (H r, H c), zero but for
+    head h's r x c block at block row h, block column h."""
+    rows, width = m.shape
+    cols = width // num_heads
+    out = np.zeros((num_heads * rows, width))
+    for h in range(num_heads):
+        out[h * rows:(h + 1) * rows, h * cols:(h + 1) * cols] = m[:, h * cols:(h + 1) * cols]
+    return out
+
+
+def _diagonal_blocks(m: np.ndarray, num_heads: int) -> np.ndarray:
+    """(H r, H c) -> its H diagonal r x c blocks side by side, (r, H c)."""
+    rows, width = m.shape[0] // num_heads, m.shape[1]
+    cols = width // num_heads
+    out = np.empty((rows, width))
+    for h in range(num_heads):
+        out[:, h * cols:(h + 1) * cols] = m[h * rows:(h + 1) * rows, h * cols:(h + 1) * cols]
+    return out
 
 
 def constant_attention(v: np.ndarray) -> np.ndarray:
@@ -178,7 +204,13 @@ def attn_forward(x: np.ndarray, params: AttentionParams,
                  mask: MaskMatrix | None = None,
                  queries: int | None = None) -> tuple[np.ndarray, AttentionCache]:
     """Run one attention layer under the given dropout mask (None: no mask).
-    queries=q computes only the first q of the L output rows (None: all)."""
+    queries=q computes only the first q of the L output rows (None: all).
+
+    With q < L the products are taken in the other order, so no L x d x d
+    key or value projection runs: head h's scores are (Q_h W_k,h') x' /
+    sqrt(d_k) and its output is (weights_h x) W_v,h, each for all heads at
+    once as 2-D products through the block-diagonal (H q, d) matrix of Q.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ShapeError(f"input must be L x d_model with L >= 1, got {x.shape}")
@@ -199,10 +231,16 @@ def attn_forward(x: np.ndarray, params: AttentionParams,
         return y, AttentionCache(mask, params, x, pre)
 
     num_heads, d_k = params.num_heads, params.d_k
-    qh = _split_heads(x[:q] @ params.w_q, num_heads)
-    kh = _split_heads(x @ params.w_k, num_heads)
-    vh = _split_heads(x @ params.w_v, num_heads)
-    scores = qh @ kh.transpose(0, 2, 1) / np.sqrt(d_k)
+    folded = q < length
+    if folded:
+        q_blocks = _block_diagonal(x[:q] @ params.w_q, num_heads)
+        qk = q_blocks @ params.w_k.T
+        scores = (qk @ x.T / np.sqrt(d_k)).reshape(num_heads, q, length)
+    else:
+        qh = _split_heads(x @ params.w_q, num_heads)
+        kh = _split_heads(x @ params.w_k, num_heads)
+        vh = _split_heads(x @ params.w_v, num_heads)
+        scores = qh @ kh.transpose(0, 2, 1) / np.sqrt(d_k)
     if mode is MaskMode.SCORES:
         scores = scores + entries[None, :q, :]
 
@@ -215,12 +253,18 @@ def attn_forward(x: np.ndarray, params: AttentionParams,
         attn_used = attn * entries[None, :q, :]
         if mask.rescale is not None:
             attn_used = attn_used * mask.rescale
+    weights = attn if attn_used is None else attn_used
 
-    pre = _merge_heads((attn if attn_used is None else attn_used) @ vh)
-    y = pre @ params.w_o
-    cache = AttentionCache(mask, params, x, pre, qh=qh, kh=kh, vh=vh,
-                           scores=scores, attn=attn, attn_used=attn_used)
-    return y, cache
+    if folded:
+        ax = weights.reshape(num_heads * q, length) @ x
+        pre = _diagonal_blocks(ax @ params.w_v, num_heads)
+        cache = AttentionCache(mask, params, x, pre, scores=scores, attn=attn,
+                               attn_used=attn_used, q_blocks=q_blocks, qk=qk, ax=ax)
+    else:
+        pre = _merge_heads(weights @ vh)
+        cache = AttentionCache(mask, params, x, pre, qh=qh, kh=kh, vh=vh,
+                               scores=scores, attn=attn, attn_used=attn_used)
+    return pre @ params.w_o, cache
 
 
 def attn_backward(cache: AttentionCache, dy: np.ndarray, grads: AttentionParams,
@@ -257,11 +301,19 @@ def attn_backward(cache: AttentionCache, dy: np.ndarray, grads: AttentionParams,
     num_heads, d_k = params.num_heads, params.d_k
     dpre = dy @ params.w_o.T
     grads.w_o += cache.pre.T @ dy
-    dout_h = _split_heads(dpre, num_heads)
-
     attn_used = cache.attn_used if cache.attn_used is not None else cache.attn
-    d_attn_used = dout_h @ cache.vh.transpose(0, 2, 1)
-    dvh = attn_used.transpose(0, 2, 1) @ dout_h
+    folded = cache.qk is not None
+    if folded:
+        # pre = diagonal blocks of ax @ w_v, and ax = weights @ x
+        dm = _block_diagonal(dpre, num_heads)
+        grads.w_v += cache.ax.T @ dm
+        dax = dm @ params.w_v.T
+        d_attn_used = (dax @ cache.x.T).reshape(num_heads, q, length)
+        dx_v = attn_used.reshape(num_heads * q, length).T @ dax
+    else:
+        dout_h = _split_heads(dpre, num_heads)
+        d_attn_used = dout_h @ cache.vh.transpose(0, 2, 1)
+        dvh = attn_used.transpose(0, 2, 1) @ dout_h
 
     d_attn = d_attn_used
     if mode is MaskMode.WEIGHTS:
@@ -277,6 +329,18 @@ def attn_backward(cache: AttentionCache, dy: np.ndarray, grads: AttentionParams,
         dscores = dscores + np.asarray(dscores_extra, dtype=np.float64)[None, :, :]
 
     dscores = dscores / np.sqrt(d_k)
+    if folded:
+        # scores = qk @ x' / sqrt(d_k), and qk = q_blocks @ w_k'
+        ds = dscores.reshape(num_heads * q, length)
+        dqk = ds @ cache.x
+        grads.w_k += dqk.T @ cache.q_blocks
+        dq = _diagonal_blocks(dqk @ params.w_k, num_heads)
+        grads.w_q += cache.x[:q].T @ dq
+        dx = ds.T @ cache.qk
+        dx[:q] += dq @ params.w_q.T
+        dx += dx_v
+        return dx
+
     dqh = dscores @ cache.kh
     dkh = dscores.transpose(0, 2, 1) @ cache.qh
 

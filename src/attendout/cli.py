@@ -85,11 +85,14 @@ def _write_metrics(out: Path, result: TrainResult) -> None:
 
 
 def _write_mask_trace(out: Path, result: TrainResult) -> None:
+    """One row per (time, layer); attendout's time is the window (one
+    generator update each), every other method's the optimizer step."""
+    unit = "window" if result.method == METHOD_ATTENDOUT else "step"
     with open(out / "mask_trace.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["dropout_step", "layer", "mean_drop_prob"])
-        for window, layer, prob in result.mask_trace:
-            writer.writerow([window, layer, repr(float(prob))])
+        writer.writerow([unit, "layer", "mean_drop_prob"])
+        for time_index, layer, prob in result.mask_trace:
+            writer.writerow([time_index, layer, repr(float(prob))])
 
 
 def _write_result(out: Path, result: TrainResult) -> None:

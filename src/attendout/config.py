@@ -271,6 +271,8 @@ def _validate(cfg: TrainConfig) -> None:
         raise ConfigError(f"optimizer algo must be sgd or adam, got {cfg.opt_algo!r}")
     if not math.isfinite(cfg.lr):
         raise ConfigError(f"lr must be finite, got {cfg.lr}")
+    if not 0.0 <= cfg.momentum < 1.0:
+        raise ConfigError(f"momentum must lie in [0, 1), got {cfg.momentum}")
     if cfg.method == METHOD_ATTENDOUT:
         if cfg.dropout_step < 1:
             raise ConfigError(f"dropout_step must be >= 1, got {cfg.dropout_step}")

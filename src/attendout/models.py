@@ -242,6 +242,7 @@ class _BlockCache:
     h1: np.ndarray | None = None
     ff_pre: np.ndarray | None = None
     ff_act: np.ndarray | None = None
+    ff_tanh: np.ndarray | None = None   # gelu's tanh, reused by gelu_grad
     ln2_cache: tuple | None = None
 
 
@@ -294,10 +295,11 @@ def task_forward(params: TaskModelParams, tokens,
         a, attn_cache = attn_forward(x, layer.attn, mask, queries=1 if i == last else None)
         h1, ln1_cache = _ln_forward(x[:a.shape[0]] + a, layer.ln1_gain, layer.ln1_bias)
         ff_pre = h1 @ layer.ff_w1 + layer.ff_b1
-        ff_act = gelu(ff_pre)
+        ff_act, ff_tanh = gelu(ff_pre)
         f = ff_act @ layer.ff_w2 + layer.ff_b2
         x, ln2_cache = _ln_forward(h1 + f, layer.ln2_gain, layer.ln2_bias)
-        blocks.append(_BlockCache(False, attn_cache, ln1_cache, h1, ff_pre, ff_act, ln2_cache))
+        blocks.append(_BlockCache(False, attn_cache, ln1_cache, h1, ff_pre, ff_act, ff_tanh,
+                                  ln2_cache))
 
     logits = x[0:1] @ params.head_w + params.head_b
     return logits, TaskCache(params, tokens, blocks, x)
@@ -332,7 +334,7 @@ def task_backward(cache: TaskCache, dlogits: np.ndarray, grads: TaskModelParams)
         glayer.ff_w2 += block.ff_act.T @ df
         glayer.ff_b2 += df.sum(axis=0)
         dact = df @ layer.ff_w2.T
-        dpre = dact * gelu_grad(block.ff_pre)
+        dpre = dact * gelu_grad(block.ff_pre, block.ff_tanh)
         glayer.ff_w1 += block.h1.T @ dpre
         glayer.ff_b1 += dpre.sum(axis=0)
         dh1 = dr2 + dpre @ layer.ff_w1.T
@@ -342,12 +344,12 @@ def task_backward(cache: TaskCache, dlogits: np.ndarray, grads: TaskModelParams)
         dx = attn_backward(block.attn_cache, dr1, glayer.attn)
         dx[:dr1.shape[0]] += dr1
 
-    # Repeated tokens are summed within the sequence first, so each row of
-    # the batch buffer takes one addition per sequence: scattering straight
-    # into it would reorder the float additions.
-    dembed = np.zeros_like(grads.token_embedding)
-    np.add.at(dembed, cache.tokens, dx)
-    grads.token_embedding += dembed
+    # Repeated tokens are summed within the sequence first, in sequence
+    # order (the one-hot V x L product's sum over L), so each row of the
+    # batch buffer takes one addition per sequence: scattering straight into
+    # it would reorder the float additions.
+    onehot = cache.tokens == np.arange(params.config.vocab_size)[:, None]
+    grads.token_embedding += onehot.astype(np.float64) @ dx
     grads.position_embedding[:length] += dx
 
 

@@ -225,23 +225,23 @@ def sigmoid(x):
     return np.exp(log_sigmoid(x))
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    """Gaussian error linear unit (tanh form).
+def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian error linear unit (tanh form): returns (gelu(x), t), where t
+    is the tanh that gelu_grad takes back instead of computing it again.
 
     The cube is two multiplies: numpy's general `x**3` goes through pow and
     costs about ten times the rest of the kernel.
     """
     x = np.asarray(x, dtype=np.float64)
-    u = np.sqrt(2.0 / np.pi) * (x + 0.044715 * (x * x * x))
-    return 0.5 * x * (1.0 + np.tanh(u))
+    t = np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * (x * x * x)))
+    return 0.5 * x * (1.0 + t), t
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
+def gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Derivative of gelu at x, given the t that gelu(x) returned."""
     x = np.asarray(x, dtype=np.float64)
     c = np.sqrt(2.0 / np.pi)
-    x2 = x * x
-    t = np.tanh(c * (x + 0.044715 * (x2 * x)))
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3 * 0.044715 * x2)
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3 * 0.044715 * (x * x))
 
 
 # ---------------------------------------------------------------------------

@@ -89,19 +89,22 @@ def update_baseline(baseline: Baseline, rewards: RewardRecord) -> Baseline:
 
 
 def reinforce_update(gparams: GeneratorParams, decisions, rewards: RewardRecord,
-                     baseline: Baseline, lr: float) -> GeneratorParams:
+                     baseline: Baseline, lr: float,
+                     buffers: tuple[GeneratorParams, GeneratorParams]) -> GeneratorParams:
     """Apply one score-function ascent step in place and return the params.
 
     decisions is the step's list of (tokens, MaskDecision) pairs, one per
-    sample; they all share the one advantage of rewards.reward.
+    sample; they all share the one advantage of rewards.reward. buffers is
+    a caller-owned pair (total, grad) of trees shaped like gparams, which
+    the update overwrites.
     """
     if not decisions:
         raise ContractViolation("reinforce update needs at least one decision")
     advantage = rewards.reward - baseline.value
     if advantage == 0.0:
         return gparams
-    total = ptree.zeros_like(gparams)
-    grad = ptree.zeros_like(gparams)
+    total, grad = buffers
+    total.flat.fill(0.0)
     for tokens, decision in decisions:
         # each decision's gradient is summed alone before it is scaled into
         # total, so the float order matches one fresh tree per decision

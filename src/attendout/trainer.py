@@ -79,12 +79,14 @@ from .regularizers import (
 @dataclass
 class OptimizerState:
     """One model's buffers, made once by `optimizer_state`: its gradient
-    tree, and whole-model vectors m (SGD velocity or Adam's first moment)
-    and v (Adam's second moment)."""
+    tree, whole-model vectors m (SGD velocity or Adam's first moment) and v
+    (Adam's second moment), and two scratch vectors a step writes its
+    intermediate values into."""
 
     grads: ptree.ParamTree
     m: np.ndarray
     v: np.ndarray
+    scratch: tuple[np.ndarray, np.ndarray]
     algo: str = "sgd"
     momentum: float = 0.0
     beta1: float = 0.9
@@ -95,32 +97,34 @@ class OptimizerState:
 
 def optimizer_state(params, algo: str = "sgd", momentum: float = 0.0) -> OptimizerState:
     """Zeroed optimizer buffers shaped like params."""
-    return OptimizerState(ptree.zeros_like(params), np.zeros_like(params.flat),
-                          np.zeros_like(params.flat), algo, momentum)
+    flat = params.flat
+    return OptimizerState(ptree.zeros_like(params), np.zeros_like(flat), np.zeros_like(flat),
+                          (np.empty_like(flat), np.empty_like(flat)), algo, momentum)
 
 
 def optimizer_step(params, grads, lr: float, state: OptimizerState):
-    """One in-place SGD/momentum/Adam step over the whole parameter buffer."""
+    """One in-place SGD/momentum/Adam step over the whole parameter buffer;
+    every intermediate vector is one of the state's scratch vectors."""
     bad = ptree.first_nonfinite(grads)
     if bad is not None:
         raise DivergenceError(f"non-finite gradient in {bad}")
     state.t += 1
     p, g, m, v = params.flat, grads.flat, state.m, state.v
+    s1, s2 = state.scratch
     if state.algo == "sgd":
         if state.momentum > 0.0:
             m *= state.momentum
             m += g
-            p -= lr * m
-        else:
-            p -= lr * g
+            g = m
+        p -= np.multiply(lr, g, out=s1)
     elif state.algo == "adam":
         m *= state.beta1
-        m += (1 - state.beta1) * g
+        m += np.multiply(1 - state.beta1, g, out=s1)
         v *= state.beta2
-        v += (1 - state.beta2) * g * g
-        m_hat = m / (1 - state.beta1 ** state.t)
-        v_hat = v / (1 - state.beta2 ** state.t)
-        # p -= lr * m_hat / (sqrt(v_hat) + eps), in place: two temporaries
+        v += np.multiply(np.multiply(1 - state.beta2, g, out=s1), g, out=s1)
+        # p -= lr * m_hat / (sqrt(v_hat) + eps), with m_hat in s1, v_hat in s2
+        m_hat = np.divide(m, 1 - state.beta1 ** state.t, out=s1)
+        v_hat = np.divide(v, 1 - state.beta2 ** state.t, out=s2)
         np.sqrt(v_hat, out=v_hat)
         v_hat += state.eps
         m_hat *= lr
@@ -247,7 +251,8 @@ def _update_on_batch(params, batch, lr, opt_state, item_masks=None, skip_blocks=
 class AttendOutGame:
     """decisions holds the open window's (tokens, MaskDecision) pairs;
     windows_done counts finished windows, one generator update each. The
-    task models and optimizer states are never reassigned; sync writes into them."""
+    task models and optimizer states are never reassigned; sync writes into them.
+    policy_buffers are the generator update's two gradient trees, made once."""
 
     defender: TaskModelParams
     attacker: TaskModelParams
@@ -262,6 +267,11 @@ class AttendOutGame:
     decisions: list = field(default_factory=list)
     windows_done: int = 0
     boundary_identical: bool = True
+    policy_buffers: tuple = field(init=False)
+
+    def __post_init__(self):
+        self.policy_buffers = (ptree.zeros_like(self.generator),
+                               ptree.zeros_like(self.generator))
 
 
 def dropout_step(game: AttendOutGame, stream: BatchStream, cfg: TrainConfig):
@@ -308,7 +318,8 @@ def dropout_step(game: AttendOutGame, stream: BatchStream, cfg: TrainConfig):
 
         rewards = compute_rewards(eval_a, eval_d, cfg.reward)
         game.baseline = update_baseline(game.baseline, rewards)
-        reinforce_update(game.generator, game.decisions, rewards, game.baseline, cfg.gnet_lr)
+        reinforce_update(game.generator, game.decisions, rewards, game.baseline, cfg.gnet_lr,
+                         game.policy_buffers)
 
         layer_probs = np.mean([d.layer_mean_prob for _, d in game.decisions], axis=0)
         rows[-1].update({

@@ -91,8 +91,9 @@ def gumbel_binary_sample(logit: float, rng: RngState) -> tuple[int, float]:
 
 
 # ---------------------------------------------------------------------------
-# Kernel references: the earlier, slower forms that numkernel's GELU and
-# tasks' block-drawn dataset generator are checked against.
+# Kernel references: the earlier, slower forms that numkernel's GELU, the
+# token-embedding gradient, the optimizer step and tasks' block-drawn
+# dataset generator are checked against.
 # ---------------------------------------------------------------------------
 
 
@@ -109,6 +110,51 @@ def gelu_grad_reference(x: np.ndarray) -> np.ndarray:
     u = c * (x + 0.044715 * x**3)
     t = np.tanh(u)
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * c * (1.0 + 3 * 0.044715 * x**2)
+
+
+def gelu_grad_recomputed_reference(x: np.ndarray) -> np.ndarray:
+    """GELU's derivative computing its own tanh, as it did before gelu
+    returned it: gelu_grad(x, gelu(x)[1]) must match it bit for bit."""
+    x = np.asarray(x, dtype=np.float64)
+    c = np.sqrt(2.0 / np.pi)
+    x2 = x * x
+    t = np.tanh(c * (x + 0.044715 * (x2 * x)))
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3 * 0.044715 * x2)
+
+
+def token_embedding_grad_reference(tokens, dx: np.ndarray, vocab_size: int) -> np.ndarray:
+    """One sequence's token-embedding gradient, repeated tokens summed by
+    np.add.at into zeros: task_backward's one-hot product must give these
+    bits."""
+    dembed = np.zeros((vocab_size, dx.shape[1]))
+    np.add.at(dembed, tokens, dx)
+    return dembed
+
+
+def optimizer_step_reference(params, grads, lr, state, slots):
+    """The optimizer step one tensor at a time, with a fresh temporary for
+    every intermediate value and its own moment slots; the whole-buffer
+    step with scratch vectors must give the same bits."""
+    state.t += 1
+    for (name, p), (_, g) in zip(ptree.iter_arrays(params), ptree.iter_arrays(grads)):
+        if state.algo == "sgd":
+            if state.momentum > 0.0:
+                v = slots.setdefault(name, np.zeros_like(p))
+                v *= state.momentum
+                v += g
+                p -= lr * v
+            else:
+                p -= lr * g
+        else:
+            m = slots.setdefault(name + ".m", np.zeros_like(p))
+            v = slots.setdefault(name + ".v", np.zeros_like(p))
+            m *= state.beta1
+            m += (1 - state.beta1) * g
+            v *= state.beta2
+            v += (1 - state.beta2) * g * g
+            m_hat = m / (1 - state.beta1 ** state.t)
+            v_hat = v / (1 - state.beta2 ** state.t)
+            p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
 
 
 def gen_majority_token_reference(n: int, seq_len: int, vocab_size: int, seed: int):
@@ -242,7 +288,7 @@ def task_forward_reference(params, tokens, layer_masks=None, skip_blocks=None):
         a, attn_cache = attn_forward_reference(x, layer.attn, mask)
         h1, ln1 = ln_forward_reference(x + a, layer.ln1_gain, layer.ln1_bias)
         ff_pre = h1 @ layer.ff_w1 + layer.ff_b1
-        ff_act = gelu(ff_pre)
+        ff_act = gelu(ff_pre)[0]
         x, ln2 = ln_forward_reference(h1 + (ff_act @ layer.ff_w2 + layer.ff_b2),
                                       layer.ln2_gain, layer.ln2_bias)
         caches.append((attn_cache, ln1, h1, ff_pre, ff_act, ln2))
@@ -250,8 +296,6 @@ def task_forward_reference(params, tokens, layer_masks=None, skip_blocks=None):
 
 
 def task_backward_reference(params, cache, dlogits, grads):
-    from attendout.numkernel import gelu_grad
-
     tokens, caches, x_final = cache
     grads.head_w += x_final[0:1].T @ dlogits
     grads.head_b += dlogits[0]
@@ -267,7 +311,7 @@ def task_backward_reference(params, cache, dlogits, grads):
         glayer.ln2_bias += db2
         glayer.ff_w2 += ff_act.T @ dr2
         glayer.ff_b2 += dr2.sum(axis=0)
-        dpre = (dr2 @ layer.ff_w2.T) * gelu_grad(ff_pre)
+        dpre = (dr2 @ layer.ff_w2.T) * gelu_grad_recomputed_reference(ff_pre)
         glayer.ff_w1 += h1.T @ dpre
         glayer.ff_b1 += dpre.sum(axis=0)
         dr1, dg1, db1 = ln_backward_reference(ln1, layer.ln1_gain, dr2 + dpre @ layer.ff_w1.T)
@@ -276,3 +320,70 @@ def task_backward_reference(params, cache, dlogits, grads):
         dx = dr1 + attn_backward_reference(attn_cache, dr1, glayer.attn)
     np.add.at(grads.token_embedding, tokens, dx)
     grads.position_embedding[:len(tokens)] += dx
+
+
+# ---------------------------------------------------------------------------
+# Trajectory: one config trained on the current path and again with the
+# full-row attention references patched into the models, compared step by
+# step, so a float-order change shows as drift and a bug as a new outcome.
+# ---------------------------------------------------------------------------
+
+
+def run_trajectory(cfg, full_rows: bool):
+    """Train cfg; returns (metrics rows, sync sources, dev accuracy). With
+    full_rows every block of every model computes every query row."""
+    from attendout import models, trainer
+
+    sources = []
+    sync = trainer.sync_models
+
+    def recording_sync(*args):
+        sources.append(sync(*args))
+        return sources[-1]
+
+    backward = models.attn_backward
+
+    def full_row_backward(cache, dy, grads, dscores_extra=None):
+        if dscores_extra is not None:  # the generator: every row is computed there
+            return backward(cache, dy, grads, dscores_extra)
+        return attn_backward_reference(cache, dy, grads)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trainer, "sync_models", recording_sync)
+        if full_rows:
+            patch.setattr(models, "attn_forward", lambda x, params, mask=None, queries=None:
+                          attn_forward_reference(x, params, mask))
+            patch.setattr(models, "attn_backward", full_row_backward)
+        result = trainer.train(cfg)
+    return result.metrics, sources, result.dev_accuracy
+
+
+def compare_trajectories(current, reference) -> dict:
+    """Per-step drift and window outcomes of two run_trajectory results: the
+    largest relative difference of each loss, the largest absolute
+    drop_prob difference, the first window whose outcome (eval_D, eval_A,
+    reward, sync source) differs or None, and both dev accuracies."""
+    rows, sources, accuracy = current
+    ref_rows, ref_sources, ref_accuracy = reference
+    if len(rows) != len(ref_rows):
+        raise AssertionError(f"{len(rows)} steps against {len(ref_rows)}")
+    report = {"steps": len(rows), "windows": len(sources),
+              "dev_accuracy": (accuracy, ref_accuracy)}
+    for key in ("loss_D", "loss_A"):
+        pairs = [(r[key], f[key]) for r, f in zip(rows, ref_rows) if key in r]
+        if pairs:
+            report[f"{key}_rel"] = max(abs(a - b) / abs(b) for a, b in pairs)
+    report["drop_prob_abs"] = max(
+        (float(np.abs(np.subtract(r["drop_prob"], f["drop_prob"])).max())
+         for r, f in zip(rows, ref_rows) if "drop_prob" in r), default=0.0)
+
+    def outcomes(metric_rows, sync_sources):
+        windows = [r for r in metric_rows if "eval_D" in r]
+        return [(r["eval_D"], r["eval_A"], r["reward_mean"], s)
+                for r, s in zip(windows, sync_sources)]
+
+    ours, theirs = outcomes(rows, sources), outcomes(ref_rows, ref_sources)
+    report["first_differing_window"] = next(
+        (i for i, (a, b) in enumerate(zip(ours, theirs)) if a != b),
+        None if len(ours) == len(theirs) else min(len(ours), len(theirs)))
+    return report

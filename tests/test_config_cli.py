@@ -146,7 +146,7 @@ def test_every_manifest_output_exists_after_a_run_without_trace(tmp_path):
     assert all((out / name).exists() for name in manifest["outputs"].values())
     # method none samples no masks: the trace is its header alone
     assert (out / "mask_trace.csv").read_text().splitlines() == \
-        ["dropout_step,layer,mean_drop_prob"]
+        ["step,layer,mean_drop_prob"]
 
 
 def test_cmd_train_rerun_is_byte_identical(tmp_path):
@@ -191,10 +191,15 @@ SCHEDULED_2_LAYERS = (MINIMAL.replace("method = none", "method = scheduled")
     MINIMAL.replace("lr = 0.003", "lr = nan"),
     MINIMAL.replace("lr = 0.003", "lr = inf"),
     ATTENDOUT_CFG.replace("gnet_lr = 0.3", "gnet_lr = nan"),
+    MINIMAL + "momentum = nan\n",
+    MINIMAL + "momentum = -0.5\n",
+    MINIMAL + "momentum = 1.5\n",
+    MINIMAL + "momentum = 1.0\n",
 ], ids=["baseline_decay", "gnet_dim", "eval_slice_fraction", "brackets_even_seq_len",
         "scheduled_slope_count", "fraction_sum", "heads", "eval_pool_below_T",
         "majority_vocab", "schedule_file_missing", "schedule_file_layer_out_of_range",
-        "gnet_dim_resolves_to_zero", "lr_nan", "lr_inf", "gnet_lr_nan"])
+        "gnet_dim_resolves_to_zero", "lr_nan", "lr_inf", "gnet_lr_nan",
+        "momentum_nan", "momentum_negative", "momentum_above_one", "momentum_one"])
 def test_cmd_train_bad_value_fails_before_run_dir(tmp_path, capsys, text):
     _write(tmp_path, "layer5.schedule", "0 0 0.5\n5 0 0.5\n1 0 0.5\n")
     cfg_path = _write(tmp_path, "bad.ini", text.replace("{tmp}", str(tmp_path)))
@@ -264,7 +269,8 @@ def test_replay_realized_trace_hits_breakpoints(tmp_path):
     assert main(["replay-schedule", "--schedule", sched_path,
                  "--config", cfg_path, "--out", str(out)]) == 0
     trace = {}
-    lines = (out / "mask_trace.csv").read_text().splitlines()[1:]
+    header, *lines = (out / "mask_trace.csv").read_text().splitlines()
+    assert header == "step,layer,mean_drop_prob"
     for line in lines:
         step, layer, prob = line.split(",")
         trace[(int(step), int(layer))] = float(prob)
@@ -299,7 +305,9 @@ def test_replay_schedule_from_adversarial_trace(tmp_path):
     out_ao = tmp_path / "ao"
     assert main(["train", "--config", ao_cfg, "--out", str(out_ao)]) == 0
     trace_rows = []
-    for line in (out_ao / "mask_trace.csv").read_text().splitlines()[1:]:
+    header, *lines = (out_ao / "mask_trace.csv").read_text().splitlines()
+    assert header == "window,layer,mean_drop_prob"
+    for line in lines:
         window, layer, prob = line.split(",")
         trace_rows.append((int(window), int(layer), float(prob)))
     assert trace_rows

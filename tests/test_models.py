@@ -489,3 +489,29 @@ def test_layer_norm_matches_np_mean_form_bitwise(shape):
         assert np.array_equal(a, b)
     for a, b in zip(_ln_backward(cache, gain, dy), ln_backward_reference(cache_ref, gain, dy)):
         assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# token-embedding gradient: one one-hot product per sequence
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("vocab,length,d_model,heads", [(12, 16, 32, 2), (12, 64, 128, 4)])
+def test_token_embedding_grad_equals_add_at_into_zeros_bitwise(vocab, length, d_model, heads):
+    from conftest import token_embedding_grad_reference
+
+    cfg = ModelConfig(vocab_size=vocab, max_len=length, num_layers=2, d_model=d_model,
+                      d_ff=2 * d_model, num_heads=heads, num_classes=2)
+    params = init_task_model(cfg, 5)
+    rng = nk.RngState(6).derive("embed")
+    # vocab < length, so tokens repeat; one id never occurs
+    tokens = np.floor(rng.uniform_array(length) * (vocab - 1)).astype(np.int64)
+    _, cache = task_forward(params, tokens)
+    grads = ptree.zeros_like(params)
+    base = rng.normal_array(grads.token_embedding.shape)
+    grads.token_embedding[...] = base
+    task_backward(cache, np.array([[0.3, -0.3]]), grads)
+    dx = grads.position_embedding[:length]  # added into zeros: dx itself
+    want = base + token_embedding_grad_reference(tokens, dx, vocab)
+    assert np.array_equal(grads.token_embedding, want)
+    assert np.array_equal(grads.token_embedding[vocab - 1], base[vocab - 1])

@@ -31,6 +31,10 @@ def _toy_generator(seed=11):
     return init_generator(TOY, seed)
 
 
+def _buffers(gparams):
+    return ptree.zeros_like(gparams), ptree.zeros_like(gparams)
+
+
 def _random_reward_table(seed=77):
     rng = nk.RngState(seed).derive("rewards")
     table = {idx: rng.uniform() for idx in range(16)}
@@ -122,7 +126,7 @@ def test_zero_advantage_leaves_params_bitwise():
     rng = nk.RngState(1)
     decisions = [(TOY_TOKENS, gnet_sample_masks(g, TOY_TOKENS, 1, rng)) for _ in range(3)]
     rewards = compute_rewards(0.7, 0.7)  # tie: zero reward
-    reinforce_update(g, decisions, rewards, Baseline(0.0, 0.9, True), lr=1.0)
+    reinforce_update(g, decisions, rewards, Baseline(0.0, 0.9, True), 1.0, _buffers(g))
     assert ptree.trees_equal(g, before)
 
 
@@ -135,7 +139,7 @@ def test_tie_after_negative_baseline_steps_by_decayed_advantage():
     decisions = [(TOY_TOKENS, gnet_sample_masks(g, TOY_TOKENS, 1, rng)) for _ in range(3)]
     rewards = compute_rewards(0.7, 0.7)
     baseline = update_baseline(Baseline(-0.5, 0.9, True), rewards)
-    reinforce_update(g, decisions, rewards, baseline, lr=1.0)
+    reinforce_update(g, decisions, rewards, baseline, 1.0, _buffers(g))
     total = sum(ptree.flatten(logprob_grad(before, tokens, d)) for tokens, d in decisions)
     delta = g.flat - before.flat
     assert np.any(delta != 0)
@@ -152,7 +156,7 @@ def test_single_decision_update_direction():
         rewards = compute_rewards(1.0 if reward > 0 else 0.0,
                                   0.0 if reward > 0 else 1.0)
         reinforce_update(probe, [(TOY_TOKENS, decision)], rewards,
-                         Baseline(0.0, 0.9, True), lr=0.5)
+                         Baseline(0.0, 0.9, True), 0.5, _buffers(g))
         delta = ptree.flatten(probe) - ptree.flatten(g)
         assert np.abs(delta - 0.5 * sign * grad).max() <= 1e-15
 
@@ -174,27 +178,34 @@ def test_two_step_update_matches_per_decision_arithmetic():
         advantage = float(r) - baseline.value
         ptree.add_scaled(total, logprob_grad(g, tokens, decision), advantage)
     ptree.add_scaled(expected, total, lr)
-    reinforce_update(g, decisions, rewards, baseline, lr)
+    reinforce_update(g, decisions, rewards, baseline, lr, _buffers(g))
     assert not np.array_equal(g.flat, _toy_generator().flat)
     assert np.array_equal(g.flat, expected.flat)
 
 
-def test_update_allocates_two_trees_for_any_number_of_decisions(monkeypatch):
+def test_update_allocates_no_tree_and_ignores_what_its_buffers_held(monkeypatch):
     g = _toy_generator()
+    fresh = ptree.copy_tree(g)
     rng = nk.RngState(4)
     decisions = [(TOY_TOKENS, gnet_sample_masks(g, TOY_TOKENS, 1, rng)) for _ in range(5)]
+    rewards, baseline = compute_rewards(1.0, 0.0), Baseline(0.0, 0.9, True)
+    reinforce_update(fresh, decisions, rewards, baseline, 0.1, _buffers(g))
+    used = _buffers(g)
+    for tree in used:
+        tree.flat[...] = 3.0
     calls = []
     zeros_like = ptree.zeros_like
     monkeypatch.setattr(ptree, "zeros_like", lambda tree: calls.append(1) or zeros_like(tree))
-    reinforce_update(g, decisions, compute_rewards(1.0, 0.0), Baseline(0.0, 0.9, True), lr=0.1)
-    assert len(calls) == 2
+    reinforce_update(g, decisions, rewards, baseline, 0.1, used)
+    assert calls == []
+    assert np.array_equal(g.flat, fresh.flat)
 
 
 def test_length_mismatch_rejected():
     g = _toy_generator()
     rewards = compute_rewards(1.0, 0.0)
     with pytest.raises(nk.ContractViolation):
-        reinforce_update(g, [], rewards, Baseline(), lr=0.1)
+        reinforce_update(g, [], rewards, Baseline(), 0.1, _buffers(g))
 
 
 # ---------------------------------------------------------------------------

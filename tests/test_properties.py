@@ -16,7 +16,12 @@ from attendout.attention import MaskMatrix, MaskMode
 from attendout.config import _SCHEMA, _SHARED_SECTIONS, compute_fairness_hash
 from attendout.numkernel import NEG_INF, RngState, gelu, gelu_grad, softmax_rows
 from attendout.regularizers import Schedule, schedule_probability
-from conftest import gelu_grad_reference, gelu_reference, softmax_rows_reference
+from conftest import (
+    gelu_grad_recomputed_reference,
+    gelu_grad_reference,
+    gelu_reference,
+    softmax_rows_reference,
+)
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None)
 
@@ -98,8 +103,17 @@ def test_gelu_kernels_match_the_power_reference(x):
     # cancelling 1 - t*t turns that into up to ~1.1 eps*(1 + |x|) in
     # gelu_grad (at |x| ~ 3.8), hence its wider bound.
     scale = np.finfo(np.float64).eps * (1.0 + np.abs(x))
-    assert np.all(np.abs(gelu(x) - gelu_reference(x)) <= scale)
-    assert np.all(np.abs(gelu_grad(x) - gelu_grad_reference(x)) <= 2.0 * scale)
+    y, t = gelu(x)
+    assert np.all(np.abs(y - gelu_reference(x)) <= scale)
+    assert np.all(np.abs(gelu_grad(x, t) - gelu_grad_reference(x)) <= 2.0 * scale)
+
+
+@PROPERTY_SETTINGS
+@given(gelu_inputs())
+def test_gelu_grad_from_the_forward_tanh_equals_recomputing_it(x):
+    y, t = gelu(x)
+    assert np.array_equal(t, np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * (x * x * x))))
+    assert np.array_equal(gelu_grad(x, t), gelu_grad_recomputed_reference(x))
 
 
 # ---------------------------------------------------------------------------

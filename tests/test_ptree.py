@@ -1,5 +1,7 @@
 """Invariants of the flat parameter buffer behind every parameter tree."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from attendout.models import (
 )
 from attendout.numkernel import RngState, cross_entropy_logits
 from attendout.trainer import optimizer_state, optimizer_step, sync_models
-from conftest import rand_attention
+from conftest import optimizer_step_reference, rand_attention
 
 CFG = ModelConfig(vocab_size=9, max_len=6, num_layers=2, d_model=8,
                   d_ff=16, num_heads=2, num_classes=3)
@@ -100,31 +102,6 @@ def test_add_scaled_rejects_other_layouts():
 # ---------------------------------------------------------------------------
 
 
-def _per_leaf_step(params, grads, lr, state, slots):
-    """The per-tensor optimizer loop the whole-buffer step replaced; kept as
-    the bit-exact reference."""
-    state.t += 1
-    for (name, p), (_, g) in zip(ptree.iter_arrays(params), ptree.iter_arrays(grads)):
-        if state.algo == "sgd":
-            if state.momentum > 0.0:
-                v = slots.setdefault(name, np.zeros_like(p))
-                v *= state.momentum
-                v += g
-                p -= lr * v
-            else:
-                p -= lr * g
-        else:
-            m = slots.setdefault(name + ".m", np.zeros_like(p))
-            v = slots.setdefault(name + ".v", np.zeros_like(p))
-            m *= state.beta1
-            m += (1 - state.beta1) * g
-            v *= state.beta2
-            v += (1 - state.beta2) * g * g
-            m_hat = m / (1 - state.beta1 ** state.t)
-            v_hat = v / (1 - state.beta2 ** state.t)
-            p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
-
-
 @pytest.mark.parametrize("algo,momentum", [("sgd", 0.0), ("sgd", 0.9), ("adam", 0.0)])
 def test_whole_buffer_step_matches_per_leaf_reference(algo, momentum):
     fast = init_task_model(CFG, 5)
@@ -136,9 +113,25 @@ def test_whole_buffer_step_matches_per_leaf_reference(algo, momentum):
         grads = _batch_grads(fast)
         assert ptree.trees_equal(grads, _batch_grads(ref))
         optimizer_step(fast, grads, 0.01, fast_state)
-        _per_leaf_step(ref, grads, 0.01, ref_state, slots)
+        optimizer_step_reference(ref, grads, 0.01, ref_state, slots)
         assert fast.flat.tobytes() == ref.flat.tobytes()
     assert fast_state.t == ref_state.t == 5
+
+
+@pytest.mark.parametrize("algo,momentum", [("sgd", 0.0), ("sgd", 0.9), ("adam", 0.0)])
+def test_step_allocates_no_whole_model_vector(algo, momentum):
+    # every intermediate vector is one of the state's two scratch vectors
+    params = init_task_model(CFG, 5)
+    state = optimizer_state(params, algo, momentum)
+    grads = _batch_grads(params)
+    optimizer_step(params, grads, 0.01, state)
+    tracemalloc.start()
+    try:
+        optimizer_step(params, grads, 0.01, state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < params.flat.nbytes
 
 
 # ---------------------------------------------------------------------------

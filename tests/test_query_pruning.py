@@ -1,7 +1,8 @@
 """The classifier reads position 0 only, so the last encoder block that runs
-computes one query row. These tests hold that pruned path to the full-row
-references in conftest: bit for bit where every row is computed, and to
-1e-12 relative error where BLAS takes a one-row product another way."""
+computes one query row, and takes its attention products in the other order
+(no L x d x d key or value projection). These tests hold that pruned path to
+the full-row references in conftest: bit for bit where every row is
+computed, and to 1e-12 relative error where the products are reassociated."""
 
 import numpy as np
 import pytest
@@ -55,11 +56,9 @@ def _assert_trees_close(tree, reference):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", MASK_KINDS)
-@pytest.mark.parametrize("queries", [None, 1, 2, 5])
-def test_attention_queries_match_full_rows(kind, queries):
+def _check_attention(kind, queries, heads):
     length, d = 5, 8
-    params = rand_attention(41, d=d, heads=2)
+    params = rand_attention(41, d=d, heads=heads)
     rng = nk.RngState(42).derive("x")
     x = rng.normal_array((length, d)) * 0.5
     dy = rng.normal_array((length, d)) * 0.5
@@ -84,6 +83,21 @@ def test_attention_queries_match_full_rows(kind, queries):
         assert _rel_err(y, y_ref[:q]) <= TOL
         assert _rel_err(dx, dx_ref) <= TOL
         _assert_trees_close(g, g_ref)
+
+
+@pytest.mark.parametrize("kind", MASK_KINDS)
+@pytest.mark.parametrize("queries", [None, 1, 2, 5])
+def test_attention_queries_match_full_rows(kind, queries):
+    _check_attention(kind, queries, heads=2)
+
+
+@pytest.mark.parametrize("kind", MASK_KINDS)
+@pytest.mark.parametrize("queries", [1, 2, 4])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_folded_attention_matches_full_rows_for_each_head_count(kind, queries, heads):
+    # q < L takes the products in the other order, through block-diagonal
+    # operands with one block per head
+    _check_attention(kind, queries, heads)
 
 
 @pytest.mark.parametrize("queries", [0, 6])

@@ -434,11 +434,13 @@ def test_dropout_step_never_drop_policy_is_degenerate():
 def test_dropout_step_keeps_its_models_and_optimizer_states():
     cfg = _attendout_cfg(seed=2, epochs=1, T=3)
     game, stream = _fresh_game(cfg)
-    held = [game.defender, game.attacker, game.opt_defender, game.opt_attacker]
+    held = [game.defender, game.attacker, game.opt_defender, game.opt_attacker,
+            *game.policy_buffers]
     dropout_step(game, stream, cfg)
     assert game.windows_done == 1
     assert all(now is then for now, then in zip(
-        [game.defender, game.attacker, game.opt_defender, game.opt_attacker], held))
+        [game.defender, game.attacker, game.opt_defender, game.opt_attacker,
+         *game.policy_buffers], held))
 
 
 def test_synced_models_and_optimizer_states_stay_independent():
@@ -460,16 +462,16 @@ def test_synced_models_and_optimizer_states_stay_independent():
 
 @pytest.mark.parametrize("epochs", [1, 3])
 def test_attendout_run_allocates_no_tree_per_step(monkeypatch, epochs):
-    # the never-drop policy ties every window, so the generator update
-    # takes its zero-advantage exit and the count is the task models' alone
+    # every tree is made when the game is built, none per step or window
     calls = _count_tree_allocations(monkeypatch)
     cfg = _attendout_cfg(seed=5, epochs=epochs, T=3)
     game, stream = _fresh_game(cfg)
     while stream.remaining > 0:
         dropout_step(game, stream, cfg)
     assert game.windows_done == 8 * epochs // 3
-    # the attacker's copy and the two optimizer states' gradient trees
-    assert len(calls) == 3
+    # the attacker's copy, the two optimizer states' gradient trees and the
+    # game's two generator-update buffers
+    assert len(calls) == 5
 
 
 def test_tie_window_after_negative_baseline_moves_generator():
