@@ -3,10 +3,10 @@ or one of three dropout modes on the attention matrix.
 
 Modes:
   None        (no mask) plain scaled dot-product attention.
-  WEIGHTS     a binary mask multiplies the post-softmax weights. Kept rows
-              simply sum to less than one unless the mask carries an
+  WEIGHTS     dropped units of the post-softmax weights are set to 0. Kept
+              rows simply sum to less than one unless the mask carries an
               inverted-dropout rescale, applied after the mask.
-  SCORES      an additive {0, NEG_INF} mask hits the pre-softmax scores, so
+  SCORES      dropped units of the pre-softmax scores are set to NEG_INF, so
               the surviving weights renormalize to one.
   ALL_DROPPED every unit removed. The attention matrix degenerates to the
               constant 1/L, every output row (pre output projection) is the
@@ -15,8 +15,9 @@ Modes:
 
 A MaskMatrix is the only way a mask reaches a layer: one is shared across
 all heads of a layer, so the decision space is the L x L attention matrix
-of the layer, not per head. A MaskMatrix checks its entries once, when it
-is built, so a layer only matches their side to the sequence length.
+of the layer, not per head. In SCORES and WEIGHTS mode it holds that matrix
+as boolean drop bits, which the layer applies itself; it is checked once,
+when it is built, so a layer only matches its side to the sequence length.
 """
 
 from __future__ import annotations
@@ -41,35 +42,29 @@ class MaskMatrix:
     """Per-layer dropout mask for one sample; None, not a MaskMatrix, means
     no mask.
 
-    entries is L x L and binary {0,1} in WEIGHTS mode (1 = keep), or
-    {0, NEG_INF} in SCORES mode (NEG_INF = dropped) with at least one kept
-    unit per row, since a fully dropped row has no softmax. ALL_DROPPED
-    carries no entries. rescale, WEIGHTS mode only, multiplies the masked
-    weights (inverted dropout). Construction raises ContractViolation on
-    entries that break these rules.
+    drop is an L x L bool matrix (True = unit dropped) in SCORES and WEIGHTS
+    mode; a SCORES mask keeps at least one unit per row, since a fully
+    dropped row has no softmax. ALL_DROPPED holds no drop matrix. rescale,
+    WEIGHTS mode only, multiplies the masked weights (inverted dropout).
+    Construction raises ContractViolation on a drop matrix that breaks these
+    rules.
     """
 
     mode: MaskMode
-    entries: np.ndarray | None = None
+    drop: np.ndarray | None = None
     rescale: float | None = None
 
     def __post_init__(self):
-        e = self.entries
+        d = self.drop
         if self.mode is MaskMode.ALL_DROPPED:
-            if e is not None:
-                raise ContractViolation("an ALL_DROPPED mask carries no entries")
+            if d is not None:
+                raise ContractViolation("an ALL_DROPPED mask holds no drop matrix")
             return
-        if e is None or e.ndim != 2 or e.shape[0] != e.shape[1]:
-            shape = None if e is None else e.shape
-            raise ContractViolation(f"{self.mode} mask entries must be square, got {shape}")
-        if self.mode is MaskMode.WEIGHTS:
-            if not np.all((e == 0.0) | (e == 1.0)):
-                raise ContractViolation("WEIGHTS mask entries must be in {0, 1}")
-            return
-        dropped = e == NEG_INF
-        if not np.all(dropped | (e == 0.0)):
-            raise ContractViolation("SCORES mask entries must be in {0, NEG_INF}")
-        if np.any(dropped.all(axis=1)):
+        shape, dtype = np.shape(d), getattr(d, "dtype", None)
+        if dtype != np.bool_ or len(shape) != 2 or shape[0] != shape[1]:
+            raise ContractViolation(
+                f"{self.mode} drop bits must be square bool, got {dtype} {shape}")
+        if self.mode is MaskMode.SCORES and d.all(axis=1).any():
             raise ContractViolation(
                 "SCORES mask has a fully dropped row; use MaskMode.ALL_DROPPED"
             )
@@ -79,8 +74,10 @@ class MaskMatrix:
         return MaskMatrix(MaskMode.ALL_DROPPED)
 
     @staticmethod
-    def weights(keep: np.ndarray, rescale: float | None = None) -> "MaskMatrix":
-        return MaskMatrix(MaskMode.WEIGHTS, np.asarray(keep, dtype=np.float64), rescale)
+    def weights_from_drop_bits(bits: np.ndarray, rescale: float | None = None) -> "MaskMatrix":
+        """Build a WEIGHTS mask from drop bits (1 = drop). A fully dropped
+        row is allowed: it zeroes that row's mix."""
+        return MaskMatrix(MaskMode.WEIGHTS, np.asarray(bits) != 0, rescale)
 
     @staticmethod
     def from_drop_bits(bits: np.ndarray) -> "MaskMatrix":
@@ -94,10 +91,10 @@ class MaskMatrix:
         bits = np.asarray(bits)
         if bits.ndim != 2 or bits.shape[0] != bits.shape[1]:
             raise ShapeError(f"drop bits must be square, got {bits.shape}")
-        dropped = bits != 0
-        if np.any(dropped.all(axis=1)):
+        drop = bits != 0
+        if drop.all(axis=1).any():
             return MaskMatrix.all_dropped()
-        return MaskMatrix(MaskMode.SCORES, np.where(dropped, NEG_INF, 0.0))
+        return MaskMatrix(MaskMode.SCORES, drop)
 
 
 @dataclass
@@ -155,14 +152,12 @@ class AttentionCache:
 
 def _split_heads(m: np.ndarray, num_heads: int) -> np.ndarray:
     length, d = m.shape
-    return np.ascontiguousarray(
-        m.reshape(length, num_heads, d // num_heads).transpose(1, 0, 2)
-    )
+    return m.reshape(length, num_heads, d // num_heads).transpose(1, 0, 2)
 
 
 def _merge_heads(t: np.ndarray) -> np.ndarray:
     num_heads, length, d_k = t.shape
-    return np.ascontiguousarray(t.transpose(1, 0, 2).reshape(length, num_heads * d_k))
+    return t.transpose(1, 0, 2).reshape(length, num_heads * d_k)
 
 
 def _block_diagonal(m: np.ndarray, num_heads: int) -> np.ndarray:
@@ -220,9 +215,9 @@ def attn_forward(x: np.ndarray, params: AttentionParams,
     q = length if queries is None else queries
     if not 1 <= q <= length:
         raise ShapeError(f"queries must be in [1, {length}], got {queries}")
-    mode, entries = (None, None) if mask is None else (mask.mode, mask.entries)
-    if entries is not None and entries.shape != (length, length):
-        raise ShapeError(f"mask entries must be {length}x{length}, got {entries.shape}")
+    mode, drop = (None, None) if mask is None else (mask.mode, mask.drop)
+    if drop is not None and drop.shape != (length, length):
+        raise ShapeError(f"mask must be {length}x{length}, got {drop.shape}")
 
     if mode is MaskMode.ALL_DROPPED:
         v = x @ params.w_v
@@ -242,7 +237,7 @@ def attn_forward(x: np.ndarray, params: AttentionParams,
         vh = _split_heads(x @ params.w_v, num_heads)
         scores = qh @ kh.transpose(0, 2, 1) / np.sqrt(d_k)
     if mode is MaskMode.SCORES:
-        scores = scores + entries[None, :q, :]
+        scores = np.where(drop[:q], NEG_INF, scores)
 
     attn = softmax_rows(scores.reshape(num_heads * q, length)).reshape(
         num_heads, q, length
@@ -250,9 +245,9 @@ def attn_forward(x: np.ndarray, params: AttentionParams,
 
     attn_used = None
     if mode is MaskMode.WEIGHTS:
-        attn_used = attn * entries[None, :q, :]
+        attn_used = np.where(drop[:q], 0.0, attn)
         if mask.rescale is not None:
-            attn_used = attn_used * mask.rescale
+            attn_used *= mask.rescale
     weights = attn if attn_used is None else attn_used
 
     if folded:
@@ -272,7 +267,7 @@ def attn_backward(cache: AttentionCache, dy: np.ndarray, grads: AttentionParams,
     """Reverse-mode pass matching a prior attn_forward.
 
     dy is q x d_model, one row per computed query; the returned dx is
-    L x d_model, since every row feeds the keys and values. Mask entries
+    L x d_model, since every row feeds the keys and values. Drop bits
     are constants: no gradient flows through dropped units. The parameter
     gradients are added into grads, a caller-owned tree shaped like the
     params (such as one layer's slot of a whole-model gradient buffer).
@@ -317,9 +312,9 @@ def attn_backward(cache: AttentionCache, dy: np.ndarray, grads: AttentionParams,
 
     d_attn = d_attn_used
     if mode is MaskMode.WEIGHTS:
-        d_attn = d_attn_used * mask.entries[None, :q, :]
+        d_attn = np.where(mask.drop[:q], 0.0, d_attn_used)
         if mask.rescale is not None:
-            d_attn = d_attn * mask.rescale
+            d_attn *= mask.rescale
 
     attn = cache.attn
     dscores = attn * (d_attn - (d_attn * attn).sum(axis=2, keepdims=True))

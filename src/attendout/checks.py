@@ -86,7 +86,7 @@ def gradcheck_attention(seed: int = 0, h: float = 1e-5,
     modes = {
         "none": None,
         "scores": MaskMatrix.from_drop_bits(bits),
-        "weights": MaskMatrix.weights((1 - bits).astype(np.float64)),
+        "weights": MaskMatrix.weights_from_drop_bits(bits),
         "all_dropped": MaskMatrix.all_dropped(),
     }
     for mode_name, mask in modes.items():

@@ -180,8 +180,8 @@ class RngState:
 def softmax_rows(m: np.ndarray) -> np.ndarray:
     """Row softmax with max subtraction.
 
-    NEG_INF entries come out as exactly 0 in any row that keeps a unit;
-    MaskMatrix rules out a fully dropped row when the mask is built.
+    Units a SCORES mask drops reach it as NEG_INF, set by the attention
+    layer, and come out as exactly 0 in any row that keeps a unit.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
@@ -207,10 +207,11 @@ def cross_entropy_logits(logits: np.ndarray, labels) -> tuple[float, np.ndarray]
         bad = labels[(labels < 0) | (labels >= c)]
         raise IndexError(f"label(s) {bad.tolist()} outside [0, {c})")
     rowmax = logits.max(axis=1, keepdims=True)
-    shifted = logits - rowmax
-    lse = np.log(np.exp(shifted).sum(axis=1)) + rowmax[:, 0]
+    e = np.exp(logits - rowmax)
+    z = e.sum(axis=1, keepdims=True)
+    lse = np.log(z[:, 0]) + rowmax[:, 0]
     loss = float(np.mean(lse - logits[np.arange(n), labels]))
-    probs = softmax_rows(logits)
+    probs = e / z
     probs[np.arange(n), labels] -= 1.0
     return loss, probs / n
 

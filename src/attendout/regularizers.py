@@ -25,7 +25,7 @@ def vanilla_attention_mask(length: int, p: float, rng: RngState,
     In scores mode a fully dropped row cannot be represented, so any such
     row escalates the whole layer to the constant-attention path (at the
     probabilities used in practice this is vanishingly rare). Weights mode
-    keeps the literal binary mask; a dead row there just zeroes that row's
+    keeps the literal drop bits; a dead row there just zeroes that row's
     mix, which is well defined. rescale (weights mode only; scores mode
     renormalizes through the softmax) scales kept weights by 1 / (1 - p).
     """
@@ -36,7 +36,7 @@ def vanilla_attention_mask(length: int, p: float, rng: RngState,
         return MaskMatrix.from_drop_bits(bits)
     if mode == "weights":
         scale = 1.0 / (1.0 - p) if rescale and p < 1.0 else None
-        return MaskMatrix.weights((1 - bits).astype(np.float64), scale)
+        return MaskMatrix.weights_from_drop_bits(bits, scale)
     raise ConfigError(f"unknown vanilla dropout mode {mode!r}")
 
 

@@ -188,43 +188,83 @@ def gen_majority_token_reference(n: int, seq_len: int, vocab_size: int, seed: in
 # Full-row references: attention and the task model computing every query
 # row of every block, with layer-norm row means taken by np.mean. The
 # pruned last block of models.task_forward must match them to 1e-12.
+# The attention references apply a mask as float entries (additive
+# {0, NEG_INF} on the scores, multiplicative {0, 1} keep weights after the
+# softmax) and copy every head out contiguously; attn_forward, which applies
+# the drop bits by np.where and splits heads as views, must match them bit
+# for bit, with every row and, given the same queries=q, with q < L.
 # ---------------------------------------------------------------------------
 
 
-def attn_forward_reference(x, params, mask=None):
+def mask_entries_reference(mask):
+    """A SCORES or WEIGHTS mask's drop bits as the float entries above."""
+    from attendout.attention import MaskMode
+    from attendout.numkernel import NEG_INF
+
+    if mask.mode is MaskMode.SCORES:
+        return np.where(mask.drop, NEG_INF, 0.0)
+    return (~mask.drop).astype(np.float64)
+
+
+def _split_heads_reference(m, num_heads):
+    length, d = m.shape
+    return np.ascontiguousarray(m.reshape(length, num_heads, d // num_heads).transpose(1, 0, 2))
+
+
+def _merge_heads_reference(t):
+    num_heads, length, d_k = t.shape
+    return np.ascontiguousarray(t.transpose(1, 0, 2).reshape(length, num_heads * d_k))
+
+
+def attn_forward_reference(x, params, mask=None, queries=None):
     from attendout.attention import (
-        AttentionCache, MaskMode, _merge_heads, _split_heads, constant_attention)
+        AttentionCache, MaskMode, _block_diagonal, _diagonal_blocks, constant_attention)
     from attendout.numkernel import softmax_rows
 
     length = x.shape[0]
-    mode, entries = (None, None) if mask is None else (mask.mode, mask.entries)
+    q = length if queries is None else queries
+    mode = None if mask is None else mask.mode
     if mode is MaskMode.ALL_DROPPED:
-        pre = constant_attention(x @ params.w_v)
+        pre = constant_attention(x @ params.w_v)[:q]
         return pre @ params.w_o, AttentionCache(mask, params, x, pre)
+    entries = None if mode is None else mask_entries_reference(mask)[None, :q, :]
     num_heads, d_k = params.num_heads, params.d_k
-    qh = _split_heads(x @ params.w_q, num_heads)
-    kh = _split_heads(x @ params.w_k, num_heads)
-    vh = _split_heads(x @ params.w_v, num_heads)
-    scores = qh @ kh.transpose(0, 2, 1) / np.sqrt(d_k)
+    if q < length:
+        q_blocks = _block_diagonal(x[:q] @ params.w_q, num_heads)
+        qk = q_blocks @ params.w_k.T
+        scores = (qk @ x.T / np.sqrt(d_k)).reshape(num_heads, q, length)
+    else:
+        qh = _split_heads_reference(x @ params.w_q, num_heads)
+        kh = _split_heads_reference(x @ params.w_k, num_heads)
+        vh = _split_heads_reference(x @ params.w_v, num_heads)
+        scores = qh @ kh.transpose(0, 2, 1) / np.sqrt(d_k)
     if mode is MaskMode.SCORES:
-        scores = scores + entries[None, :, :]
-    attn = softmax_rows(scores.reshape(num_heads * length, length)).reshape(
-        num_heads, length, length)
+        scores = scores + entries
+    attn = softmax_rows(scores.reshape(num_heads * q, length)).reshape(num_heads, q, length)
     attn_used = None
     if mode is MaskMode.WEIGHTS:
-        attn_used = attn * entries[None, :, :]
+        attn_used = attn * entries
         if mask.rescale is not None:
             attn_used = attn_used * mask.rescale
-    pre = _merge_heads((attn if attn_used is None else attn_used) @ vh)
+    weights = attn if attn_used is None else attn_used
+    if q < length:
+        ax = weights.reshape(num_heads * q, length) @ x
+        pre = _diagonal_blocks(ax @ params.w_v, num_heads)
+        return pre @ params.w_o, AttentionCache(
+            mask, params, x, pre, scores=scores, attn=attn, attn_used=attn_used,
+            q_blocks=q_blocks, qk=qk, ax=ax)
+    pre = _merge_heads_reference(weights @ vh)
     return pre @ params.w_o, AttentionCache(mask, params, x, pre, qh=qh, kh=kh, vh=vh,
                                             scores=scores, attn=attn, attn_used=attn_used)
 
 
 def attn_backward_reference(cache, dy, grads):
-    from attendout.attention import MaskMode, _merge_heads, _split_heads
+    from attendout.attention import MaskMode, _block_diagonal, _diagonal_blocks
 
     params, mask = cache.params, cache.mask
     length = cache.x.shape[0]
+    q = cache.pre.shape[0]
+    num_heads = params.num_heads
     mode = None if mask is None else mask.mode
     dpre = dy @ params.w_o.T
     grads.w_o += cache.pre.T @ dy
@@ -232,19 +272,35 @@ def attn_backward_reference(cache, dy, grads):
         dv = np.tile(dpre.sum(axis=0) / length, (length, 1))
         grads.w_v += cache.x.T @ dv
         return dv @ params.w_v.T
-    dout_h = _split_heads(dpre, params.num_heads)
     attn_used = cache.attn_used if cache.attn_used is not None else cache.attn
-    d_attn = dout_h @ cache.vh.transpose(0, 2, 1)
-    dvh = attn_used.transpose(0, 2, 1) @ dout_h
+    if cache.qk is not None:
+        dm = _block_diagonal(dpre, num_heads)
+        grads.w_v += cache.ax.T @ dm
+        dax = dm @ params.w_v.T
+        d_attn = (dax @ cache.x.T).reshape(num_heads, q, length)
+        dx_v = attn_used.reshape(num_heads * q, length).T @ dax
+    else:
+        dout_h = _split_heads_reference(dpre, num_heads)
+        d_attn = dout_h @ cache.vh.transpose(0, 2, 1)
+        dvh = attn_used.transpose(0, 2, 1) @ dout_h
     if mode is MaskMode.WEIGHTS:
-        d_attn = d_attn * mask.entries[None, :, :]
+        d_attn = d_attn * mask_entries_reference(mask)[None, :q, :]
         if mask.rescale is not None:
             d_attn = d_attn * mask.rescale
     attn = cache.attn
     dscores = attn * (d_attn - (d_attn * attn).sum(axis=2, keepdims=True)) / np.sqrt(params.d_k)
-    dq = _merge_heads(dscores @ cache.kh)
-    dk = _merge_heads(dscores.transpose(0, 2, 1) @ cache.qh)
-    dv = _merge_heads(dvh)
+    if cache.qk is not None:
+        ds = dscores.reshape(num_heads * q, length)
+        dqk = ds @ cache.x
+        grads.w_k += dqk.T @ cache.q_blocks
+        dq = _diagonal_blocks(dqk @ params.w_k, num_heads)
+        grads.w_q += cache.x[:q].T @ dq
+        dx = ds.T @ cache.qk
+        dx[:q] += dq @ params.w_q.T
+        return dx + dx_v
+    dq = _merge_heads_reference(dscores @ cache.kh)
+    dk = _merge_heads_reference(dscores.transpose(0, 2, 1) @ cache.qh)
+    dv = _merge_heads_reference(dvh)
     grads.w_q += cache.x.T @ dq
     grads.w_k += cache.x.T @ dk
     grads.w_v += cache.x.T @ dv

@@ -61,7 +61,9 @@ def test_weights_all_ones_is_identity():
     params = rand_attention(5)
     x = _rand_x(6, 4, 8)
     y_plain, _ = attn_forward(x, params)
-    y_masked, _ = attn_forward(x, params, MaskMatrix.weights(np.ones((4, 4))))
+    y_masked, _ = attn_forward(
+        x, params, MaskMatrix.weights_from_drop_bits(np.zeros((4, 4), dtype=int))
+    )
     assert np.array_equal(y_plain, y_masked)
 
 
@@ -137,7 +139,7 @@ def test_weights_mode_does_not_renormalize():
     bits = np.zeros((5, 5))
     bits[2, :3] = 1  # drop three units of row 2
     keep = 1 - bits
-    _, cache_w = attn_forward(x, params, MaskMatrix.weights(keep))
+    _, cache_w = attn_forward(x, params, MaskMatrix.weights_from_drop_bits(bits))
     masked = cache_w.attn_used
     plain = cache_w.attn
     expected_row_sum = (plain[:, 2, :] * keep[2]).sum(axis=1)
@@ -165,10 +167,10 @@ def test_permutation_equivariance_single_head():
 
 
 def test_scores_mask_with_dead_row_rejected():
-    entries = np.zeros((3, 3))
-    entries[1, :] = nk.NEG_INF
+    drop = np.zeros((3, 3), dtype=bool)
+    drop[1, :] = True
     with pytest.raises(nk.ContractViolation):
-        MaskMatrix(MaskMode.SCORES, entries)
+        MaskMatrix(MaskMode.SCORES, drop)
 
 
 def test_from_drop_bits_escalates_full_matrix():
@@ -187,25 +189,49 @@ def test_weights_mask_validates_binary():
         MaskMatrix(MaskMode.WEIGHTS, np.full((3, 3), 0.5))
 
 
-@pytest.mark.parametrize("mode, entries", [
+@pytest.mark.parametrize("mode, drop", [
     (MaskMode.SCORES, np.array([[0.0, -1e3], [0.0, 0.0]])),
-    (MaskMode.SCORES, np.zeros((2, 3))),
-    (MaskMode.WEIGHTS, np.ones((2, 3))),
-    (MaskMode.WEIGHTS, np.ones(3)),
+    (MaskMode.SCORES, np.zeros((2, 3), dtype=bool)),
+    (MaskMode.WEIGHTS, np.zeros((2, 3), dtype=bool)),
+    (MaskMode.WEIGHTS, np.zeros(3, dtype=bool)),
     (MaskMode.SCORES, None),
-    (MaskMode.ALL_DROPPED, np.zeros((2, 2))),
+    (MaskMode.ALL_DROPPED, np.zeros((2, 2), dtype=bool)),
+    (MaskMode.SCORES, np.zeros((3, 3))),
+    (MaskMode.WEIGHTS, np.ones((3, 3))),
+    (MaskMode.SCORES, np.zeros((3, 3), dtype=np.uint8)),
+    (MaskMode.WEIGHTS, np.zeros((3, 3), dtype=np.uint8)),
+    (MaskMode.WEIGHTS, [[False, False], [False, False]]),
 ], ids=["scores_non_sentinel", "scores_non_square", "weights_non_square",
-        "weights_1d", "scores_no_entries", "all_dropped_with_entries"])
-def test_mask_rejects_bad_entries_when_built(mode, entries):
+        "weights_1d", "scores_no_entries", "all_dropped_with_entries",
+        "scores_float", "weights_float_keep", "scores_uint8", "weights_uint8",
+        "weights_list"])
+def test_mask_rejects_bad_entries_when_built(mode, drop):
     with pytest.raises(nk.ContractViolation):
-        MaskMatrix(mode, entries)
+        MaskMatrix(mode, drop)
+
+
+@pytest.mark.parametrize("rescale", [None, 1 / 0.7], ids=["plain", "rescale"])
+def test_weights_from_drop_bits_zeroes_exactly_the_dropped_units(rescale):
+    params = rand_attention(23)
+    x = _rand_x(24, 5, 8)
+    bits = (nk.RngState(22).uniform_array(25).reshape(5, 5) < 0.4).astype(np.uint8)
+    bits[3, :] = 1  # a dead row is allowed in WEIGHTS mode
+    mask = MaskMatrix.weights_from_drop_bits(bits, rescale)
+    assert mask.mode is MaskMode.WEIGHTS and mask.rescale == rescale
+    assert np.array_equal(mask.drop, bits == 1)
+    _, cache = attn_forward(x, params, mask)
+    assert np.all(cache.attn > 0.0)
+    dropped = np.broadcast_to(bits == 1, cache.attn.shape)
+    assert np.all(cache.attn_used[dropped] == 0.0)
+    kept = cache.attn[~dropped]
+    assert np.array_equal(cache.attn_used[~dropped], kept if rescale is None else kept * rescale)
 
 
 def test_forward_rejects_mask_of_another_length():
     params = rand_attention(25)
     x = _rand_x(26, 3, 8)
     with pytest.raises(nk.ShapeError):
-        attn_forward(x, params, MaskMatrix.weights(np.ones((4, 4))))
+        attn_forward(x, params, MaskMatrix.weights_from_drop_bits(np.zeros((4, 4))))
 
 
 # ---------------------------------------------------------------------------
@@ -263,12 +289,12 @@ def test_gradcheck_mode_scores():
 
 def test_gradcheck_mode_weights():
     bits = (nk.RngState(2).uniform_array(16).reshape(4, 4) < 0.3).astype(float)
-    assert _gradcheck_mode(MaskMatrix.weights(1 - bits)) <= 1e-4
+    assert _gradcheck_mode(MaskMatrix.weights_from_drop_bits(bits)) <= 1e-4
 
 
 def test_gradcheck_mode_weights_with_rescale():
     bits = (nk.RngState(2).uniform_array(16).reshape(4, 4) < 0.3).astype(float)
-    assert _gradcheck_mode(MaskMatrix.weights(1 - bits, rescale=1 / 0.7)) <= 1e-4
+    assert _gradcheck_mode(MaskMatrix.weights_from_drop_bits(bits, rescale=1 / 0.7)) <= 1e-4
 
 
 def test_gradcheck_mode_all_dropped():
@@ -279,7 +305,7 @@ def test_backward_adds_into_existing_gradients():
     bits = (nk.RngState(3).uniform_array(16).reshape(4, 4) < 0.3).astype(np.uint8)
     bits[:, 0] = 0
     masks = [None, MaskMatrix.from_drop_bits(bits),
-             MaskMatrix.weights(1.0 - bits, rescale=1 / 0.7), MaskMatrix.all_dropped()]
+             MaskMatrix.weights_from_drop_bits(bits, rescale=1 / 0.7), MaskMatrix.all_dropped()]
     params = rand_attention(32)
     x, dy = _rand_x(33, 4, 8), _rand_x(34, 4, 8)
     g0 = rand_attention(35, scale=2.0)

@@ -73,6 +73,19 @@ def test_span_hooks_run_on_attendout_and_attn_layerdrop_training():
     assert rec.counters["policygrad.reinforce_update.decisions"] > 0
 
 
+def test_span_hooks_run_on_weights_mode_training():
+    # no shipped config and no benchmark workload runs WEIGHTS masks
+    spans = _load_spans()
+    rec = spans.Recorder("t")
+    restore, _ = spans.install(rec)
+    try:
+        trainer.train(parse_config_text(
+            TINY.format(method="vanilla") + "p = 0.2\nmode = weights\nrescale = true\n"))
+    finally:
+        restore()
+    assert rec.counters["attention.attn_forward.calls.weights"] > 0
+
+
 @pytest.mark.parametrize("method,section", [
     ("none", ""),
     ("vanilla", "p = 0.1\nmode = scores\n"),

@@ -1,5 +1,6 @@
 """Property tests of the mask escalation rule, the masked softmax, the
-GELU kernels, the dropout schedules and the config fairness hash.
+attention layer's use of drop bits, the GELU kernels, the dropout
+schedules and the config fairness hash.
 
 derandomize=True fixes hypothesis's example stream, so every run of the
 suite checks the same examples.
@@ -12,14 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from attendout.attention import MaskMatrix, MaskMode
+from attendout import ptree
+from attendout.attention import MaskMatrix, MaskMode, attn_backward, attn_forward
 from attendout.config import _SCHEMA, _SHARED_SECTIONS, compute_fairness_hash
 from attendout.numkernel import NEG_INF, RngState, gelu, gelu_grad, softmax_rows
 from attendout.regularizers import Schedule, schedule_probability
 from conftest import (
+    attn_backward_reference,
+    attn_forward_reference,
     gelu_grad_recomputed_reference,
     gelu_grad_reference,
     gelu_reference,
+    rand_attention,
     softmax_rows_reference,
 )
 
@@ -42,11 +47,11 @@ def test_from_drop_bits_escalates_exactly_on_a_full_row(bits):
     mask = MaskMatrix.from_drop_bits(bits)
     if np.any(np.all(bits != 0, axis=1)):
         assert mask.mode is MaskMode.ALL_DROPPED
-        assert mask.entries is None
+        assert mask.drop is None
     else:
         assert mask.mode is MaskMode.SCORES
-        assert np.array_equal(mask.entries == NEG_INF, bits != 0)
-        assert np.all(mask.entries[bits == 0] == 0.0)
+        assert mask.drop.dtype == np.bool_
+        assert np.array_equal(mask.drop, bits != 0)
 
 
 @PROPERTY_SETTINGS
@@ -59,7 +64,7 @@ def test_scores_masked_softmax_rows_sum_to_one(bits, data):
     scores = data.draw(hnp.arrays(np.float64, (n, n), elements=st.floats(-30.0, 30.0)))
     mask = MaskMatrix.from_drop_bits(bits)
     assert mask.mode is MaskMode.SCORES
-    weights = softmax_rows(scores + mask.entries)
+    weights = softmax_rows(np.where(mask.drop, NEG_INF, scores))
     assert np.all(np.abs(weights.sum(axis=1) - 1.0) <= 1e-12)
     assert np.all(weights[bits != 0] == 0.0)
 
@@ -71,11 +76,36 @@ def test_softmax_rows_matches_the_zeroing_reference_bitwise(bits, data):
     kept = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, n - 1)))
     bits[np.arange(n), kept] = 0
     scores = data.draw(hnp.arrays(np.float64, (n, n), elements=st.floats(-1e3, 1e3)))
-    masked = scores + MaskMatrix.from_drop_bits(bits).entries
+    masked = np.where(MaskMatrix.from_drop_bits(bits).drop, NEG_INF, scores)
     shape = data.draw(st.tuples(st.integers(1, 8), st.integers(1, 8)))
     logits = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)))
     for m in (masked, scores, logits):
         assert np.array_equal(softmax_rows(m), softmax_rows_reference(m))
+
+
+@PROPERTY_SETTINGS
+@given(drop_bits(), st.sampled_from(["scores", "weights", "weights_rescale"]),
+       st.sampled_from([1, 2]), st.booleans(), st.integers(0, 2**32 - 1))
+def test_attention_applies_drop_bits_as_float_entries_bitwise(bits, kind, heads,
+                                                              one_query, seed):
+    # scores drop bits with a full row escalate, so ALL_DROPPED is drawn too
+    mask = MaskMatrix.from_drop_bits(bits) if kind == "scores" else \
+        MaskMatrix.weights_from_drop_bits(bits, 1 / 0.7 if kind == "weights_rescale" else None)
+    length = bits.shape[0]
+    q = 1 if one_query else length
+    params = rand_attention(seed % 97, heads=heads)
+    rng = RngState(seed).derive("x")
+    x, dy = rng.normal_array((length, 8)), rng.normal_array((q, 8))
+
+    y, cache = attn_forward(x, params, mask, queries=q)
+    y_ref, cache_ref = attn_forward_reference(x, params, mask, queries=q)
+    grads, grads_ref = ptree.zeros_like(params), ptree.zeros_like(params)
+    dx = attn_backward(cache, dy, grads)
+    dx_ref = attn_backward_reference(cache_ref, dy, grads_ref)
+    assert y.tobytes() == y_ref.tobytes()
+    assert dx.tobytes() == dx_ref.tobytes()
+    for (name, g), (_, g_ref) in zip(ptree.iter_arrays(grads), ptree.iter_arrays(grads_ref)):
+        assert g.tobytes() == g_ref.tobytes(), name
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,9 @@ def _mask(kind, length, seed):
     if kind == "scores":
         return MaskMatrix.from_drop_bits(bits)
     if kind == "weights":
-        return MaskMatrix.weights(1.0 - bits)
+        return MaskMatrix.weights_from_drop_bits(bits)
     if kind == "weights_rescale":
-        return MaskMatrix.weights(1.0 - bits, rescale=1 / 0.6)
+        return MaskMatrix.weights_from_drop_bits(bits, rescale=1 / 0.6)
     return MaskMatrix.all_dropped()
 
 

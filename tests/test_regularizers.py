@@ -25,7 +25,7 @@ from conftest import sample_bernoulli
 def test_vanilla_p_zero_keeps_everything(rng):
     mask = vanilla_attention_mask(6, 0.0, rng)
     assert mask.mode is MaskMode.SCORES
-    assert np.all(mask.entries == 0.0)
+    assert not mask.drop.any()
 
 
 def test_vanilla_p_one_escalates(rng):
@@ -41,7 +41,7 @@ def test_vanilla_drop_rate_within_ci():
         mask = vanilla_attention_mask(length, p, rng)
         assert mask.mode in (MaskMode.SCORES, MaskMode.ALL_DROPPED)
         if mask.mode is MaskMode.SCORES:
-            dropped += int((mask.entries == nk.NEG_INF).sum())
+            dropped += int(mask.drop.sum())
         else:
             dropped += length * length
     total = trials * length * length
@@ -56,13 +56,15 @@ def test_vanilla_full_row_escalates():
     for _ in range(300):
         mask = vanilla_attention_mask(3, 0.9, rng)
         if mask.mode is MaskMode.SCORES:
-            assert not np.any(np.all(mask.entries == nk.NEG_INF, axis=1))
+            assert not np.any(np.all(mask.drop, axis=1))
 
 
 def test_vanilla_weights_mode(rng):
+    bits = nk.bernoulli_array(0.3, (5, 5), rng.clone())
     mask = vanilla_attention_mask(5, 0.3, rng, mode="weights")
     assert mask.mode is MaskMode.WEIGHTS
-    assert np.all((mask.entries == 0) | (mask.entries == 1))
+    assert mask.drop.dtype == np.bool_
+    assert np.array_equal(mask.drop, bits != 0)
 
 
 def test_vanilla_rejects_bad_mode(rng):

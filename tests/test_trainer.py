@@ -150,11 +150,10 @@ def _grad_masks():
     """Per-item layer masks covering all four modes; layer 2 is skipped."""
     bits = (RngState(11).uniform_array(36).reshape(6, 6) < 0.3).astype(np.uint8)
     bits[:, 0] = 0
-    keep = 1.0 - bits
     return [
         [None, MaskMatrix.from_drop_bits(bits), None],
-        [MaskMatrix.weights(keep, rescale=1 / 0.7), MaskMatrix.all_dropped(), None],
-        [MaskMatrix.all_dropped(), MaskMatrix.weights(keep), None],
+        [MaskMatrix.weights_from_drop_bits(bits, rescale=1 / 0.7), MaskMatrix.all_dropped(), None],
+        [MaskMatrix.all_dropped(), MaskMatrix.weights_from_drop_bits(bits), None],
     ]
 
 

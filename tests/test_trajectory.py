@@ -35,15 +35,19 @@ batch_size = 6
 [{method}]
 """
 
-SECTIONS = {
-    "vanilla": "p = 0.2\nmode = scores\n",
-    "attendout": "dropout_step = 2\ngnet_lr = 0.5\n",
+# (method, method section); vanilla_weights runs the one mask mode that no
+# shipped config runs
+CASES = {
+    "vanilla": ("vanilla", "p = 0.2\nmode = scores\n"),
+    "vanilla_weights": ("vanilla", "p = 0.2\nmode = weights\nrescale = true\n"),
+    "attendout": ("attendout", "dropout_step = 2\ngnet_lr = 0.5\n"),
 }
 
 
-@pytest.mark.parametrize("method", sorted(SECTIONS))
-def test_pruned_path_keeps_the_full_row_trajectory(method):
-    cfg = parse_config_text(TINY.format(method=method) + SECTIONS[method])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_pruned_path_keeps_the_full_row_trajectory(case):
+    method, section = CASES[case]
+    cfg = parse_config_text(TINY.format(method=method) + section)
     report = compare_trajectories(run_trajectory(cfg, full_rows=False),
                                   run_trajectory(cfg, full_rows=True))
     assert report["steps"] == 16
