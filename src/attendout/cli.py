@@ -33,6 +33,7 @@ from .config import (
     METHOD_NONE,
     METHOD_SCHEDULED,
     TrainConfig,
+    check_seed,
     load_config,
 )
 from .models import save_checkpoint
@@ -125,7 +126,7 @@ def _run_and_write(cfg: TrainConfig, out: Path, config_path: str, argv_seed) -> 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg.seed = check_seed(args.seed)
     out = _out_dir(args.out, f"{Path(args.config).stem}-seed{cfg.seed}")
     result = _run_and_write(cfg, out, args.config, args.seed)
     print(f"method={result.method} dev_accuracy={result.dev_accuracy:.4f} "
@@ -137,7 +138,7 @@ def cmd_gradcheck(args) -> int:
     seed = args.seed if args.seed is not None else 0
     if args.config:
         seed = load_config(args.config).seed if args.seed is None else seed
-    reports = run_all_checks(seed=seed, corrupt=args.corrupt)
+    reports = run_all_checks(seed=check_seed(seed), corrupt=args.corrupt)
     by_suite: dict[str, list] = {}
     for rep in reports:
         by_suite.setdefault(rep.suite, []).append(rep)
@@ -160,7 +161,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_replay_schedule(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg.seed = check_seed(args.seed)
     if cfg.method not in (METHOD_NONE, METHOD_SCHEDULED):
         raise ConfigError(
             "replay-schedule needs a config with method none or scheduled, "
@@ -202,7 +203,10 @@ def cmd_compare(args) -> int:
                 f"fairness violation: {path} differs from {args.configs[0]} "
                 "beyond the method-specific sections"
             )
-    base_seed = args.seed if args.seed is not None else configs[0].seed
+    if args.seeds < 1:
+        raise ConfigError(f"compare needs --seeds >= 1, got {args.seeds}")
+    base_seed = check_seed(args.seed if args.seed is not None else configs[0].seed)
+    check_seed(base_seed + args.seeds - 1)
     out = _out_dir(args.out, "compare")
     out.mkdir(parents=True, exist_ok=True)
 

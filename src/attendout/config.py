@@ -240,6 +240,14 @@ def eval_slice_size(train_size: int, fraction: float) -> int:
     return max(1, int(train_size * fraction))
 
 
+def check_seed(seed: int) -> int:
+    """Return seed if it lies in [0, 2^64). The random stream reduces seeds
+    mod 2^64, so one outside that range would replay an in-range seed."""
+    if not 0 <= seed < 1 << 64:
+        raise ConfigError(f"seed must lie in [0, 2^64), got {seed}")
+    return seed
+
+
 def _validate(cfg: TrainConfig) -> None:
     """Range and consistency checks on config values; they run at load, so a
     bad value fails before any run directory is written."""
@@ -255,6 +263,7 @@ def _validate(cfg: TrainConfig) -> None:
             raise ConfigError("balanced_brackets uses a fixed vocabulary of 3")
         if cfg.seq_len < 3 or cfg.seq_len % 2 == 0:
             raise ConfigError(f"balanced_brackets needs an odd seq_len >= 3, got {cfg.seq_len}")
+    check_seed(cfg.seed)
     if cfg.data_n < 1:
         raise ConfigError(f"[data] n must be >= 1, got {cfg.data_n}")
     train_size, dev_size, _ = split_sizes(

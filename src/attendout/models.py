@@ -125,16 +125,17 @@ class GeneratorParams(ptree.ParamTree):
 
 @dataclass
 class MaskDecision:
-    """Sampled per-layer drop masks for one sample.
+    """Sampled drop masks of every layer for one sample.
 
-    masks[i] is L x L with 1 = drop. logprob is the mean per-unit log
-    probability of the sampled bits, i.e. already carries the 1 / (N * L^2)
-    normalization the policy-gradient update expects. layer_drop_fraction
-    and layer_mean_prob are diagnostics: realized drop rate and mean
-    sigmoid drop probability per layer.
+    masks is one (N, L, L) uint8 array with 1 = drop; masks[i] is layer i's
+    L x L bits. logprob is the mean per-unit log probability of the sampled
+    bits, i.e. already carries the 1 / (N * L^2) normalization the
+    policy-gradient update expects. layer_drop_fraction and layer_mean_prob
+    are diagnostics: realized drop rate and mean sigmoid drop probability
+    per layer.
     """
 
-    masks: list[np.ndarray]
+    masks: np.ndarray
     logprob: float
     layer_drop_fraction: np.ndarray
     layer_mean_prob: np.ndarray
@@ -158,11 +159,11 @@ def _attn_init(rng: RngState, d: int, num_heads: int) -> AttentionParams:
     )
 
 
-def init_task_model(config: ModelConfig, seed: int | RngState) -> TaskModelParams:
+def init_task_model(config: ModelConfig, seed: int) -> TaskModelParams:
     """Deterministic per seed: the same (config, seed) pair always yields
     bit-identical parameters."""
     config.validate()
-    rng = RngState(seed).derive("task-init") if isinstance(seed, int) else seed.clone()
+    rng = RngState(seed).derive("task-init")
     d = config.d_model
     layers = []
     for _ in range(config.num_layers):
@@ -187,11 +188,11 @@ def init_task_model(config: ModelConfig, seed: int | RngState) -> TaskModelParam
     )
 
 
-def init_generator(config: GeneratorConfig, seed: int | RngState) -> GeneratorParams:
+def init_generator(config: GeneratorConfig, seed: int) -> GeneratorParams:
     # Unit-scale embeddings keep the policy's pre-softmax scores O(1), so
     # initial drop probabilities spread around one half and the score Jacobian is
     # large enough for the reward signal to move them.
-    rng = RngState(seed).derive("gnet-init") if isinstance(seed, int) else seed.clone()
+    rng = RngState(seed).derive("gnet-init")
     return GeneratorParams(
         token_embedding=rng.normal_array((config.vocab_size, config.dim)),
         attn=_attn_init(rng, config.dim, 1),
@@ -359,51 +360,43 @@ def task_backward(cache: TaskCache, dlogits: np.ndarray, grads: TaskModelParams)
 
 
 def gnet_scores(gparams: GeneratorParams, tokens, num_layers: int):
-    """Pre-softmax score matrices for each layer decision, plus the forward
-    caches. Scores depend only on (params, tokens), never on sampled bits."""
+    """Pre-softmax scores of every layer decision as one (N, L, L) array,
+    plus the per-layer forward caches. Scores depend only on (params,
+    tokens), never on sampled bits."""
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.ndim != 1 or tokens.size < 1:
         raise ShapeError(f"tokens must be a nonempty 1-D sequence, got {tokens.shape}")
     if np.any(tokens < 0) or np.any(tokens >= gparams.token_embedding.shape[0]):
         raise IndexError("token id out of range for generator vocabulary")
     h = gparams.token_embedding[tokens]
-    scores, caches = [], []
+    caches = []
     for _ in range(num_layers):
-        h_next, cache = attn_forward(h, gparams.attn)
-        scores.append(cache.scores[0])
+        h, cache = attn_forward(h, gparams.attn)
         caches.append(cache)
-        h = h_next
-    return scores, caches, tokens
+    return np.stack([cache.scores[0] for cache in caches]), caches, tokens
 
 
 def gnet_sample_masks(gparams: GeneratorParams, tokens, num_layers: int,
                       rng: RngState) -> MaskDecision:
-    """Sample one dropout decision: per layer, unit (i, j) drops with
-    probability sigmoid(score_ij / tau), via the Gumbel-max trick."""
+    """Sample one dropout decision: unit (i, j) of layer t drops with
+    probability sigmoid(score_tij / tau), via the Gumbel-max trick, all
+    N * L^2 units in one row-major draw."""
     scores, _, _ = gnet_scores(gparams, tokens, num_layers)
-    masks, fractions, mean_probs = [], [], []
-    for s in scores:
-        logits = s / gparams.tau
-        bits = gumbel_binary_sample_array(logits, rng)
-        masks.append(bits)
-        fractions.append(float(bits.mean()))
-        mean_probs.append(float(sigmoid(logits).mean()))
+    logits = scores / gparams.tau
+    bits = gumbel_binary_sample_array(logits, rng)
     return MaskDecision(
-        masks=masks,
-        logprob=_normalized_logprob(scores, masks, gparams.tau),
-        layer_drop_fraction=np.array(fractions),
-        layer_mean_prob=np.array(mean_probs),
+        masks=bits,
+        logprob=_normalized_logprob(scores, bits, gparams.tau),
+        layer_drop_fraction=bits.mean(axis=(1, 2)),
+        layer_mean_prob=sigmoid(logits).mean(axis=(1, 2)),
     )
 
 
 def _normalized_logprob(scores, masks, tau: float) -> float:
     """Mean per-unit log probability of a decision's bits under the scores."""
-    total = 0.0
-    for s, bits in zip(scores, masks):
-        logits = s / tau
-        total += float(log_sigmoid(np.where(bits != 0, logits, -logits)).sum())
-    length = scores[0].shape[0]
-    return total / (len(scores) * length * length)
+    logits = np.asarray(scores) / tau
+    return float(log_sigmoid(np.where(np.asarray(masks) != 0, logits, -logits)).sum()
+                 / logits.size)
 
 
 def decision_logprob(gparams: GeneratorParams, tokens, decision: MaskDecision) -> float:
@@ -413,29 +406,24 @@ def decision_logprob(gparams: GeneratorParams, tokens, decision: MaskDecision) -
     return _normalized_logprob(scores, decision.masks, gparams.tau)
 
 
-def _logprob_score_grads(scores, masks, tau: float):
+def _logprob_score_grads(scores, masks, tau: float) -> np.ndarray:
     """d logprob / d score per unit: (bit - sigmoid(s/tau)) / tau, carrying
     the 1 / (N * L^2) normalization."""
-    num_layers = len(scores)
-    length = scores[0].shape[0]
-    norm = num_layers * length * length
-    out = []
-    for s, bits in zip(scores, masks):
-        p = sigmoid(s / tau)
-        out.append((np.asarray(bits, dtype=np.float64) - p) / (tau * norm))
-    return out
+    scores = np.asarray(scores)
+    p = sigmoid(scores / tau)
+    return (np.asarray(masks, dtype=np.float64) - p) / (tau * scores.size)
 
 
-def gnet_backward_from_score_grads(tokens, caches, dscores_list,
+def gnet_backward_from_score_grads(tokens, caches, dscores: np.ndarray,
                                    grads: GeneratorParams) -> None:
     """Reverse through the unrolled shared-attention stack, and into the
-    embeddings of tokens, given per-layer gradients on the pre-softmax
+    embeddings of tokens, given the (N, L, L) gradient on the pre-softmax
     scores; the parameter gradients are added into grads, a caller-owned
     tree shaped like the generator. The backward map is linear in the
     injected score gradients, which the enumeration oracle exploits."""
     tokens_len, dim = caches[0].x.shape
     dh = np.zeros((tokens_len, dim))
-    for cache, ds in zip(reversed(caches), reversed(dscores_list)):
+    for cache, ds in zip(reversed(caches), dscores[::-1]):
         dh = attn_backward(cache, dh, grads.attn, dscores_extra=ds)
     np.add.at(grads.token_embedding, tokens, dh)
 

@@ -119,17 +119,16 @@ def expected_reward_oracle(gparams: GeneratorParams, tokens, num_layers: int,
                            reward_fn):
     """Exact E[R] and its gradient by enumerating every mask.
 
-    Test-only brute force, bounded at 2^20 masks. reward_fn receives the
-    list of per-layer drop-bit matrices. The returned gradient uses the
-    same 1 / (N * L^2) normalization as the sampled estimator, so the mean
-    of sampled updates converges to it directly.
+    Test-only brute force, bounded at 2^20 masks. reward_fn receives one
+    mask's drop bits as an (N, L, L) uint8 array, layer first. The returned
+    gradient uses the same 1 / (N * L^2) normalization as the sampled
+    estimator, so the mean of sampled updates converges to it directly.
     """
     scores, caches, tokens = gnet_scores(gparams, tokens, num_layers)
-    length = tokens.size
-    units = num_layers * length * length
+    units = scores.size
     if units > ENUMERATION_LIMIT:
         raise OracleError(f"{units} units exceeds enumeration bound {ENUMERATION_LIMIT}")
-    probs = np.concatenate([sigmoid(s / gparams.tau).ravel() for s in scores])
+    probs = sigmoid(scores / gparams.tau).ravel()
 
     count = 1 << units
     patterns = (np.arange(count)[:, None] >> np.arange(units)[None, :]) & 1
@@ -138,20 +137,14 @@ def expected_reward_oracle(gparams: GeneratorParams, tokens, num_layers: int,
 
     rewards = np.empty(count)
     for idx in range(count):
-        bits = patterns[idx].reshape(num_layers, length, length).astype(np.uint8)
-        rewards[idx] = reward_fn(list(bits))
+        rewards[idx] = reward_fn(patterns[idx].reshape(scores.shape).astype(np.uint8))
 
     weights = mask_probs * rewards
     expected = float(weights.sum())
 
     # d logprob / d score is linear in the bits, so the weighted sum over
     # masks collapses before the (linear) backward pass.
-    norm = units
-    d_units = (weights @ patterns - weights.sum() * probs) / (gparams.tau * norm)
-    dscores = [
-        d_units[i * length * length:(i + 1) * length * length].reshape(length, length)
-        for i in range(num_layers)
-    ]
+    d_units = (weights @ patterns - weights.sum() * probs) / (gparams.tau * units)
     grads = ptree.zeros_like(gparams)
-    gnet_backward_from_score_grads(tokens, caches, dscores, grads)
+    gnet_backward_from_score_grads(tokens, caches, d_units.reshape(scores.shape), grads)
     return expected, grads

@@ -87,7 +87,7 @@ class OptimizerState:
     m: np.ndarray
     v: np.ndarray
     scratch: tuple[np.ndarray, np.ndarray]
-    algo: str = "sgd"
+    algo: str
     momentum: float = 0.0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -95,7 +95,7 @@ class OptimizerState:
     t: int = 0
 
 
-def optimizer_state(params, algo: str = "sgd", momentum: float = 0.0) -> OptimizerState:
+def optimizer_state(params, algo: str, momentum: float = 0.0) -> OptimizerState:
     """Zeroed optimizer buffers shaped like params."""
     flat = params.flat
     return OptimizerState(ptree.zeros_like(params), np.zeros_like(flat), np.zeros_like(flat),

@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
 
-from attendout import ptree
+from attendout import models, ptree
 from attendout.attention import AttentionParams
 from attendout.models import gnet_logprob_backward
-from attendout.numkernel import RngState, ShapeError, log_sigmoid
+from attendout.numkernel import (
+    ContractViolation,
+    RngState,
+    ShapeError,
+    gumbel_binary_sample_array,
+    log_sigmoid,
+    sigmoid,
+)
 
 
 def rand_attention(seed: int, d: int = 8, heads: int = 2, scale: float = 0.5) -> AttentionParams:
@@ -379,16 +386,83 @@ def task_backward_reference(params, cache, dlogits, grads):
 
 
 # ---------------------------------------------------------------------------
-# Trajectory: one config trained on the current path and again with the
-# full-row attention references patched into the models, compared step by
-# step, so a float-order change shows as drift and a bug as a new outcome.
+# Generator references: a decision as a list of per-layer L x L matrices,
+# with one draw, one log-probability term and one score gradient per layer,
+# which the (N, L, L) path must match. The attention layer is looked up in
+# models at call time, so a patched one serves both paths alike.
 # ---------------------------------------------------------------------------
 
 
-def run_trajectory(cfg, full_rows: bool):
+def gnet_scores_reference(gparams, tokens, num_layers):
+    """Per-layer lists of pre-softmax scores and forward caches."""
+    h = gparams.token_embedding[np.asarray(tokens, dtype=np.int64)]
+    scores, caches = [], []
+    for _ in range(num_layers):
+        h, cache = models.attn_forward(h, gparams.attn)
+        scores.append(cache.scores[0])
+        caches.append(cache)
+    return scores, caches
+
+
+def normalized_logprob_reference(scores, masks, tau):
+    """Per-layer log-probability sums, added in layer order, over N * L^2."""
+    total = 0.0
+    for s, bits in zip(scores, masks):
+        logits = s / tau
+        total += float(log_sigmoid(np.where(bits != 0, logits, -logits)).sum())
+    length = scores[0].shape[0]
+    return total / (len(scores) * length * length)
+
+
+def logprob_score_grads_reference(scores, masks, tau):
+    """Per-layer (bit - sigmoid(s / tau)) / (tau * N * L^2)."""
+    norm = len(scores) * scores[0].size
+    return [(np.asarray(bits, dtype=np.float64) - sigmoid(s / tau)) / (tau * norm)
+            for s, bits in zip(scores, masks)]
+
+
+def gnet_sample_masks_reference(gparams, tokens, num_layers, rng):
+    """One Gumbel draw, drop fraction and mean drop probability per layer;
+    masks is a list of L x L bit matrices."""
+    scores, _ = gnet_scores_reference(gparams, tokens, num_layers)
+    masks, fractions, mean_probs = [], [], []
+    for s in scores:
+        logits = s / gparams.tau
+        bits = gumbel_binary_sample_array(logits, rng)
+        masks.append(bits)
+        fractions.append(float(bits.mean()))
+        mean_probs.append(float(sigmoid(logits).mean()))
+    return models.MaskDecision(masks, normalized_logprob_reference(scores, masks, gparams.tau),
+                               np.array(fractions), np.array(mean_probs))
+
+
+def gnet_logprob_backward_reference(gparams, tokens, decision, grads):
+    """The stale check and the per-layer backward, added into grads."""
+    scores, caches = gnet_scores_reference(gparams, tokens, len(decision.masks))
+    recomputed = normalized_logprob_reference(scores, decision.masks, gparams.tau)
+    if abs(recomputed - decision.logprob) > 1e-9:
+        raise ContractViolation(f"stale decision: stored logprob {decision.logprob}, "
+                                f"recomputed {recomputed}")
+    dscores = logprob_score_grads_reference(scores, decision.masks, gparams.tau)
+    dh = np.zeros(caches[0].x.shape)
+    for cache, ds in zip(reversed(caches), reversed(dscores)):
+        dh = models.attn_backward(cache, dh, grads.attn, dscores_extra=ds)
+    np.add.at(grads.token_embedding, np.asarray(tokens, dtype=np.int64), dh)
+
+
+# ---------------------------------------------------------------------------
+# Trajectory: one config trained on the current path and again with the
+# kept references patched in (full-row attention in every model, the
+# per-layer generator), compared step by step, so a float-order change
+# shows as drift and a bug as a new outcome.
+# ---------------------------------------------------------------------------
+
+
+def run_trajectory(cfg, reference: bool):
     """Train cfg; returns (metrics rows, sync sources, dev accuracy). With
-    full_rows every block of every model computes every query row."""
-    from attendout import models, trainer
+    reference every block of every model computes every query row, and the
+    generator samples and differentiates its decisions layer by layer."""
+    from attendout import policygrad, trainer
 
     sources = []
     sync = trainer.sync_models
@@ -406,10 +480,12 @@ def run_trajectory(cfg, full_rows: bool):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(trainer, "sync_models", recording_sync)
-        if full_rows:
+        if reference:
             patch.setattr(models, "attn_forward", lambda x, params, mask=None, queries=None:
                           attn_forward_reference(x, params, mask))
             patch.setattr(models, "attn_backward", full_row_backward)
+            patch.setattr(trainer, "gnet_sample_masks", gnet_sample_masks_reference)
+            patch.setattr(policygrad, "gnet_logprob_backward", gnet_logprob_backward_reference)
         result = trainer.train(cfg)
     return result.metrics, sources, result.dev_accuracy
 
@@ -418,12 +494,15 @@ def compare_trajectories(current, reference) -> dict:
     """Per-step drift and window outcomes of two run_trajectory results: the
     largest relative difference of each loss, the largest absolute
     drop_prob difference, the first window whose outcome (eval_D, eval_A,
-    reward, sync source) differs or None, and both dev accuracies."""
+    reward, sync source) differs or None, and both dev accuracies. updates
+    counts the current run's windows with a nonzero advantage, the ones
+    that reach the generator's backward."""
     rows, sources, accuracy = current
     ref_rows, ref_sources, ref_accuracy = reference
     if len(rows) != len(ref_rows):
         raise AssertionError(f"{len(rows)} steps against {len(ref_rows)}")
     report = {"steps": len(rows), "windows": len(sources),
+              "updates": sum(r["reward_mean"] != r["baseline"] for r in rows if "eval_D" in r),
               "dev_accuracy": (accuracy, ref_accuracy)}
     for key in ("loss_D", "loss_A"):
         pairs = [(r[key], f[key]) for r, f in zip(rows, ref_rows) if key in r]

@@ -86,6 +86,29 @@ def test_span_hooks_run_on_weights_mode_training():
     assert rec.counters["attention.attn_forward.calls.weights"] > 0
 
 
+def test_gumbel_units_count_every_sampled_layer_unit():
+    # one gumbel_binary_sample_array call draws a decision's N layers at
+    # once, so its units counter must still read decisions x N x L^2
+    cfg = parse_config_text(TINY.format(method="attendout") + "dropout_step = 2\ngnet_lr = 0.3\n")
+    spans = _load_spans()
+    rec = spans.Recorder("t")
+    restore, _ = spans.install(rec)
+    try:
+        trainer.train(cfg)
+    finally:
+        restore()
+    calls = Counter(rec.names[i] for i in rec.name)
+
+    full = tasks.gen_majority_token(cfg.data_n, cfg.seq_len, cfg.vocab, cfg.seed)
+    fractions = (cfg.train_fraction, cfg.dev_fraction, cfg.test_fraction)
+    train_ds, _, _ = tasks.split(full, fractions, cfg.seed)
+    decisions = cfg.epochs * len(train_ds)
+    assert calls["models.gnet_sample_masks"] == decisions
+    assert calls["numkernel.gumbel_binary_sample_array"] == decisions
+    assert (rec.counters["numkernel.gumbel_binary_sample_array.units"]
+            == decisions * cfg.layers * cfg.seq_len ** 2)
+
+
 @pytest.mark.parametrize("method,section", [
     ("none", ""),
     ("vanilla", "p = 0.1\nmode = scores\n"),

@@ -195,11 +195,14 @@ SCHEDULED_2_LAYERS = (MINIMAL.replace("method = none", "method = scheduled")
     MINIMAL + "momentum = -0.5\n",
     MINIMAL + "momentum = 1.5\n",
     MINIMAL + "momentum = 1.0\n",
+    MINIMAL.replace("seed = 1", "seed = -1"),
+    MINIMAL.replace("seed = 1", f"seed = {1 << 64}"),
 ], ids=["baseline_decay", "gnet_dim", "eval_slice_fraction", "brackets_even_seq_len",
         "scheduled_slope_count", "fraction_sum", "heads", "eval_pool_below_T",
         "majority_vocab", "schedule_file_missing", "schedule_file_layer_out_of_range",
         "gnet_dim_resolves_to_zero", "lr_nan", "lr_inf", "gnet_lr_nan",
-        "momentum_nan", "momentum_negative", "momentum_above_one", "momentum_one"])
+        "momentum_nan", "momentum_negative", "momentum_above_one", "momentum_one",
+        "seed_negative", "seed_2_64"])
 def test_cmd_train_bad_value_fails_before_run_dir(tmp_path, capsys, text):
     _write(tmp_path, "layer5.schedule", "0 0 0.5\n5 0 0.5\n1 0 0.5\n")
     cfg_path = _write(tmp_path, "bad.ini", text.replace("{tmp}", str(tmp_path)))
@@ -408,6 +411,28 @@ def test_compare_keeps_the_loaded_schedule_on_every_seed(tmp_path, monkeypatch):
     for run in json.loads((out / "summary.json").read_text())[1]["runs"]:
         trace = (Path(run["dir"]) / "mask_trace.csv").read_text().splitlines()
         assert trace[1] == "0,0,0.8"
+
+
+# Seeds index a 64-bit random stream: one outside [0, 2^64) would silently
+# replay an in-range seed's run (2^64 is seed 0, -1 is seed 2^64 - 1).
+@pytest.mark.parametrize("argv", [
+    "train --config {cfg} --seed -1 --out {out}",
+    f"train --config {{cfg}} --seed {1 << 64} --out {{out}}",
+    "replay-schedule --schedule {sched} --config {cfg} --seed -1 --out {out}",
+    f"gradcheck --seed {1 << 64}",
+    "compare {cfg} {cfg} --seeds 0 --out {out}",
+    "compare {cfg} {cfg} --seeds -2 --out {out}",
+    f"compare {{cfg}} {{cfg}} --seed {(1 << 64) - 1} --seeds 2 --out {{out}}",
+], ids=["train_seed_negative", "train_seed_2_64", "replay_seed_negative",
+        "gradcheck_seed_2_64", "compare_no_seeds", "compare_negative_seeds",
+        "compare_last_seed_2_64"])
+def test_cli_rejects_a_seed_set_outside_the_stream_before_writing(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    args = argv.format(cfg=_write(tmp_path, "run.ini", MINIMAL), out=out,
+                       sched=CONFIGS / "example.schedule").split()
+    assert main(args) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_compare_rejects_unfair_configs(tmp_path):

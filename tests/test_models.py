@@ -21,7 +21,15 @@ from attendout.models import (
     task_forward,
 )
 from attendout.numkernel import cross_entropy_logits
-from conftest import logprob_grad, max_rel_err, tree_finite_diff
+from conftest import (
+    gnet_logprob_backward_reference,
+    gnet_sample_masks_reference,
+    gnet_scores_reference,
+    logprob_grad,
+    logprob_score_grads_reference,
+    max_rel_err,
+    tree_finite_diff,
+)
 
 SMALL = ModelConfig(vocab_size=11, max_len=8, num_layers=2, d_model=16,
                     d_ff=32, num_heads=2, num_classes=3)
@@ -338,6 +346,41 @@ def test_stale_decision_detected():
     d = gnet_sample_masks(g1, TOKENS, 2, nk.RngState(3))
     with pytest.raises(nk.ContractViolation):
         logprob_grad(g2, TOKENS, d)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("length", [1, 3, 16])
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_stacked_decision_matches_the_per_layer_reference(layers, length):
+    # one (N, L, L) draw, mean and gradient against one per layer: the bits,
+    # the draws consumed, both diagnostics and every gradient are the same
+    # numbers; only the log-probability sum runs in another order
+    from attendout.models import _logprob_score_grads
+
+    g = init_generator(GeneratorConfig(vocab_size=11, dim=8, tau=1.3), layers)
+    tokens = (np.arange(length) * 7 + 3) % 11
+    rng, ref_rng = nk.RngState(21).derive(length), nk.RngState(21).derive(length)
+    for _ in range(3):
+        d = gnet_sample_masks(g, tokens, layers, rng)
+        ref = gnet_sample_masks_reference(g, tokens, layers, ref_rng)
+        assert _same_bits(d.masks, np.stack(ref.masks))
+        assert rng.counter == ref_rng.counter
+        assert _same_bits(d.layer_mean_prob, ref.layer_mean_prob)
+        assert _same_bits(d.layer_drop_fraction, ref.layer_drop_fraction)
+        assert abs(d.logprob - ref.logprob) <= 1e-12 * abs(ref.logprob)
+
+        scores, _, _ = gnet_scores(g, tokens, layers)
+        ref_scores, _ = gnet_scores_reference(g, tokens, layers)
+        assert _same_bits(scores, np.stack(ref_scores))
+        assert _same_bits(_logprob_score_grads(scores, d.masks, g.tau),
+                          np.stack(logprob_score_grads_reference(ref_scores, ref.masks, g.tau)))
+        ref_grads = ptree.zeros_like(g)
+        gnet_logprob_backward_reference(g, tokens, ref, ref_grads)
+        assert _same_bits(logprob_grad(g, tokens, d).flat, ref_grads.flat)
 
 
 def test_end_to_end_surrogate_gradient():

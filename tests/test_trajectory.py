@@ -1,8 +1,8 @@
 """Trajectory gate for float-order changes: a tiny config trained on the
-current path and again with conftest's full-row attention references
-patched into the models. The pruned last block reorders float sums, so the
-per-step losses may drift by rounding, but no window outcome or sync source
-may change."""
+current path and again with conftest's references patched in (full-row
+attention in the models, the per-layer generator sampler and log-probability
+backward). The pruned last block reorders float sums, so the per-step losses
+may drift by rounding, but no window outcome or sync source may change."""
 
 import pytest
 
@@ -35,25 +35,27 @@ batch_size = 6
 [{method}]
 """
 
-# (method, method section); vanilla_weights runs the one mask mode that no
-# shipped config runs
+# (method, method section, windows, windows that update the generator);
+# vanilla_weights runs the one mask mode that no shipped config runs, and
+# attendout_updates the generator update, which attendout's tied windows
+# (advantage zero) never reach
 CASES = {
-    "vanilla": ("vanilla", "p = 0.2\nmode = scores\n"),
-    "vanilla_weights": ("vanilla", "p = 0.2\nmode = weights\nrescale = true\n"),
-    "attendout": ("attendout", "dropout_step = 2\ngnet_lr = 0.5\n"),
+    "vanilla": ("vanilla", "p = 0.2\nmode = scores\n", 0, 0),
+    "vanilla_weights": ("vanilla", "p = 0.2\nmode = weights\nrescale = true\n", 0, 0),
+    "attendout": ("attendout", "dropout_step = 2\ngnet_lr = 0.5\n", 8, 0),
+    "attendout_updates": ("attendout", "dropout_step = 4\ngnet_lr = 0.5\n", 4, 3),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_pruned_path_keeps_the_full_row_trajectory(case):
-    method, section = CASES[case]
+    method, section, windows, updates = CASES[case]
     cfg = parse_config_text(TINY.format(method=method) + section)
-    report = compare_trajectories(run_trajectory(cfg, full_rows=False),
-                                  run_trajectory(cfg, full_rows=True))
+    report = compare_trajectories(run_trajectory(cfg, reference=False),
+                                  run_trajectory(cfg, reference=True))
     assert report["steps"] == 16
     assert report["loss_D_rel"] <= 1e-9
     assert report.get("loss_A_rel", 0.0) <= 1e-9
     assert report["first_differing_window"] is None
     assert report["drop_prob_abs"] <= 1e-9
-    if method == "attendout":
-        assert report["windows"] == 8
+    assert (report["windows"], report["updates"]) == (windows, updates)
