@@ -297,7 +297,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, ContractViolation, DivergenceError, OracleError, ShapeError,
-            FileNotFoundError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -282,6 +282,8 @@ def _validate(cfg: TrainConfig) -> None:
         raise ConfigError(f"lr must be finite, got {cfg.lr}")
     if not 0.0 <= cfg.momentum < 1.0:
         raise ConfigError(f"momentum must lie in [0, 1), got {cfg.momentum}")
+    if cfg.momentum > 0.0 and cfg.opt_algo == "adam":
+        raise ConfigError(f"momentum {cfg.momentum} applies only to algo = sgd")
     if cfg.method == METHOD_ATTENDOUT:
         if cfg.dropout_step < 1:
             raise ConfigError(f"dropout_step must be >= 1, got {cfg.dropout_step}")
@@ -310,6 +312,8 @@ def _validate(cfg: TrainConfig) -> None:
             raise ConfigError(f"p must be in [0, 1], got {cfg.p}")
         if cfg.method == METHOD_VANILLA and cfg.vanilla_mode not in ("scores", "weights"):
             raise ConfigError(f"vanilla mode must be scores or weights, got {cfg.vanilla_mode!r}")
+        if cfg.method == METHOD_VANILLA and cfg.vanilla_rescale and cfg.vanilla_mode != "weights":
+            raise ConfigError("[vanilla] rescale applies only to mode = weights")
     if cfg.method == METHOD_SCHEDULED:
         p0, slope = cfg.sched_p0, cfg.sched_slope
         has_linear = p0 is not None or slope is not None
@@ -331,5 +335,9 @@ def _validate(cfg: TrainConfig) -> None:
 
 
 def load_config(path) -> TrainConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return parse_config_text(text)

@@ -19,6 +19,7 @@ Gumbel-max trick.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,7 +104,7 @@ class TaskModelParams(ptree.ParamTree):
 class GeneratorConfig:
     vocab_size: int
     dim: int
-    tau: float = 1.0
+    tau: float
 
 
 @dataclass
@@ -113,7 +114,7 @@ class GeneratorParams(ptree.ParamTree):
 
     token_embedding: np.ndarray      # V x d_g
     attn: AttentionParams
-    tau: float = 1.0
+    tau: float
 
     def __post_init__(self):
         if self.attn.num_heads != 1:
@@ -469,38 +470,45 @@ def save_checkpoint(path, params) -> None:
 
 
 def load_checkpoint(path):
-    """Read a save_checkpoint file; raises ContractViolation unless the
-    header is well formed, the kind is known and the tensors are exactly
-    the model's names, shapes and float64."""
-    with np.load(path) as data:
-        try:
-            header = json.loads(bytes(data["__header__"]).decode())
-            version, kind, meta = header["version"], header["kind"], header["meta"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ContractViolation(f"malformed checkpoint header: {exc!r}") from None
-        if version != _CHECKPOINT_VERSION:
-            raise ContractViolation(f"unsupported checkpoint version {version}")
-        if kind == "task":
-            config_cls, init = ModelConfig, init_task_model
-        elif kind == "generator":
-            config_cls, init = GeneratorConfig, init_generator
-        else:
-            raise ContractViolation(f"unknown checkpoint kind {kind!r}")
-        try:
-            config = config_cls(**meta)
-        except TypeError as exc:
-            raise ContractViolation(f"checkpoint meta does not fit {config_cls.__name__}: "
-                                    f"{exc}") from None
-        params = init(config, seed=0)
-        expected = dict(ptree.iter_arrays(params))
-        stored = set(data.files) - {"__header__"}
-        if stored != set(expected):
-            raise ContractViolation(f"checkpoint lacks {sorted(set(expected) - stored)}, "
-                                    f"has unexpected {sorted(stored - set(expected))}")
-        for name, arr in expected.items():
-            value = data[name]
-            if value.dtype != np.float64 or value.shape != arr.shape:
-                raise ContractViolation(f"checkpoint tensor {name} is {value.dtype}"
-                                        f"{value.shape}, expected float64{arr.shape}")
-            arr[...] = value
+    """Read a save_checkpoint file; raises ContractViolation unless it is an
+    npz archive whose header is well formed, whose kind is known, whose meta
+    builds a valid model of that kind and whose tensors are exactly the
+    model's names, shapes and float64."""
+    try:
+        with np.load(path) as data:
+            return _read_checkpoint(data)
+    except (ValueError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+        raise ContractViolation(f"unreadable checkpoint {path}: {exc}") from None
+
+
+def _read_checkpoint(data):
+    try:
+        header = json.loads(bytes(data["__header__"]).decode())
+        version, kind, meta = header["version"], header["kind"], header["meta"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ContractViolation(f"malformed checkpoint header: {exc!r}") from None
+    if version != _CHECKPOINT_VERSION:
+        raise ContractViolation(f"unsupported checkpoint version {version}")
+    if kind == "task":
+        config_cls, init = ModelConfig, init_task_model
+    elif kind == "generator":
+        config_cls, init = GeneratorConfig, init_generator
+    else:
+        raise ContractViolation(f"unknown checkpoint kind {kind!r}")
+    try:
+        params = init(config_cls(**meta), seed=0)
+    except (TypeError, ValueError) as exc:
+        raise ContractViolation(f"checkpoint meta does not fit {config_cls.__name__}: "
+                                f"{exc}") from None
+    expected = dict(ptree.iter_arrays(params))
+    stored = set(data.files) - {"__header__"}
+    if stored != set(expected):
+        raise ContractViolation(f"checkpoint lacks {sorted(set(expected) - stored)}, "
+                                f"has unexpected {sorted(stored - set(expected))}")
+    for name, arr in expected.items():
+        value = data[name]
+        if value.dtype != np.float64 or value.shape != arr.shape:
+            raise ContractViolation(f"checkpoint tensor {name} is {value.dtype}"
+                                    f"{value.shape}, expected float64{arr.shape}")
+        arr[...] = value
     return params

@@ -168,9 +168,6 @@ class RngState:
         child = _splitmix64(self.stream ^ _label_hash(label))
         return RngState(self.seed, child, 0)
 
-    def clone(self) -> "RngState":
-        return RngState(self.seed, self.stream, self.counter)
-
 
 # ---------------------------------------------------------------------------
 # Dense kernels

@@ -48,8 +48,8 @@ class RewardRecord:
 class Baseline:
     """Moving average of observed rewards."""
 
+    decay: float
     value: float = 0.0
-    decay: float = 0.9
     initialized: bool = False
 
     def __post_init__(self):
@@ -83,9 +83,9 @@ def update_baseline(baseline: Baseline, rewards: RewardRecord) -> Baseline:
     """First observation seeds the average; later ones decay into it."""
     r = rewards.reward
     if not baseline.initialized:
-        return Baseline(r, baseline.decay, True)
+        return Baseline(baseline.decay, r, True)
     new = baseline.decay * baseline.value + (1.0 - baseline.decay) * r
-    return Baseline(new, baseline.decay, True)
+    return Baseline(baseline.decay, new, True)
 
 
 def reinforce_update(gparams: GeneratorParams, decisions, rewards: RewardRecord,

@@ -126,25 +126,29 @@ def schedule_probability(schedule: Schedule, layer: int, step: int) -> float:
 
 def load_schedule_file(path, num_layers: int) -> Schedule:
     per_layer: dict[int, list[tuple[int, float]]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ConfigError(
-                    f"{path}:{lineno}: expected 'layer step probability', got {raw.strip()!r}"
-                )
-            try:
-                layer, step, prob = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
-            if not 0 <= layer < num_layers:
-                raise ConfigError(
-                    f"{path}:{lineno}: layer {layer} outside [0, {num_layers})"
-                )
-            per_layer.setdefault(layer, []).append((step, prob))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise ConfigError(
+                f"{path}:{lineno}: expected 'layer step probability', got {raw.strip()!r}"
+            )
+        try:
+            layer, step, prob = int(parts[0]), int(parts[1]), float(parts[2])
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+        if not 0 <= layer < num_layers:
+            raise ConfigError(
+                f"{path}:{lineno}: layer {layer} outside [0, {num_layers})"
+            )
+        per_layer.setdefault(layer, []).append((step, prob))
     missing = [i for i in range(num_layers) if i not in per_layer]
     if missing:
         raise ConfigError(f"{path}: no breakpoints for layer(s) {missing}")

@@ -20,22 +20,23 @@ TOKEN_B = 2
 OPEN_ID = 1
 CLOSE_ID = 2
 
-SPLIT_TRAIN = "train"
-SPLIT_DEV = "dev"
-SPLIT_TEST = "test"
-
 NUM_CLASSES = 2  # every task here is a binary classification
 
 
 @dataclass
 class Dataset:
-    examples: list[tuple[np.ndarray, int]]
-    vocab_size: int
+    """n examples of one length L: tokens is (n, L) int64, labels (n,) int64."""
+
+    tokens: np.ndarray
+    labels: np.ndarray
     num_classes: int
-    split: str = SPLIT_TRAIN
 
     def __len__(self) -> int:
-        return len(self.examples)
+        return len(self.labels)
+
+    def take(self, idx) -> Dataset:
+        """The rows idx (an index array or a slice), in that order."""
+        return Dataset(self.tokens[idx], self.labels[idx], self.num_classes)
 
 
 def gen_majority_token(n: int, seq_len: int, vocab_size: int, seed: int) -> Dataset:
@@ -51,14 +52,16 @@ def gen_majority_token(n: int, seq_len: int, vocab_size: int, seed: int) -> Data
         raise ConfigError(f"majority task needs seq_len >= 2, got {seq_len}")
     rng = RngState(seed).derive("majority-token")
     body = seq_len - 1
-    examples = []
-    while len(examples) < n:
+    tokens = np.empty((n, seq_len), dtype=np.int64)
+    labels = np.empty(n, dtype=np.int64)
+    filled = 0
+    while filled < n:
         # Each candidate takes the next `body` draws whether or not it is
         # kept, so drawing a block of candidates in one call gives the same
         # examples as one call per candidate. Half the candidates have the
         # wrong class, so a block of twice the examples still missing
         # leaves only the ties short. A tie is labelled -1.
-        k = 2 * (n - len(examples)) + 16
+        k = 2 * (n - filled) + 16
         toks = np.empty((k, seq_len), dtype=np.int64)
         toks[:, 0] = CLS_ID
         toks[:, 1:] = np.floor(
@@ -66,13 +69,14 @@ def gen_majority_token(n: int, seq_len: int, vocab_size: int, seed: int) -> Data
         ).astype(np.int64) + 1
         count_a = np.sum(toks[:, 1:] == TOKEN_A, axis=1)
         count_b = np.sum(toks[:, 1:] == TOKEN_B, axis=1)
-        labels = np.where(count_a == count_b, -1, count_a > count_b).tolist()
-        for c, label in enumerate(labels):
-            if label == len(examples) % 2:
-                examples.append((toks[c].copy(), label))  # a view would pin the block
-                if len(examples) == n:
+        block_labels = np.where(count_a == count_b, -1, count_a > count_b).tolist()
+        for c, label in enumerate(block_labels):
+            if label == filled % 2:
+                tokens[filled], labels[filled] = toks[c], label
+                filled += 1
+                if filled == n:
                     break
-    return Dataset(examples, vocab_size, NUM_CLASSES)
+    return Dataset(tokens, labels, NUM_CLASSES)
 
 
 def _is_balanced(brackets: np.ndarray) -> bool:
@@ -98,31 +102,28 @@ def gen_balanced_brackets(n: int, bracket_len: int, seed: int) -> Dataset:
     rng = RngState(seed).derive("balanced-brackets")
     half = bracket_len // 2
     base = np.array([OPEN_ID] * half + [CLOSE_ID] * half, dtype=np.int64)
-    examples = []
+    tokens = np.empty((n, bracket_len + 1), dtype=np.int64)
+    tokens[:, 0] = CLS_ID
+    labels = 1 - np.arange(n, dtype=np.int64) % 2
     for i in range(n):
         while True:
             brackets = base[rng.permutation(bracket_len)]
             if _is_balanced(brackets):
                 break
-        if i % 2 == 0:
-            label = 1
-        else:
-            label = 0
-            while True:
-                opens = np.flatnonzero(brackets == OPEN_ID)
-                closes = np.flatnonzero(brackets == CLOSE_ID)
-                oi = int(opens[rng.randint(opens.size)])
-                ci = int(closes[rng.randint(closes.size)])
-                if oi > ci:
-                    continue
-                corrupted = brackets.copy()
-                corrupted[oi], corrupted[ci] = CLOSE_ID, OPEN_ID
-                if not _is_balanced(corrupted):
-                    brackets = corrupted
-                    break
-        toks = np.concatenate(([CLS_ID], brackets))
-        examples.append((toks, label))
-    return Dataset(examples, 3, NUM_CLASSES)
+        while labels[i] == 0:  # a negative: corrupt until the nesting breaks
+            opens = np.flatnonzero(brackets == OPEN_ID)
+            closes = np.flatnonzero(brackets == CLOSE_ID)
+            oi = int(opens[rng.randint(opens.size)])
+            ci = int(closes[rng.randint(closes.size)])
+            if oi > ci:
+                continue
+            corrupted = brackets.copy()
+            corrupted[oi], corrupted[ci] = CLOSE_ID, OPEN_ID
+            if not _is_balanced(corrupted):
+                brackets = corrupted
+                break
+        tokens[i, 1:] = brackets
+    return Dataset(tokens, labels, NUM_CLASSES)
 
 
 def split_sizes(n: int, fractions) -> list[int]:
@@ -141,7 +142,7 @@ def split_sizes(n: int, fractions) -> list[int]:
         j = max(range(3), key=lambda i: remainders[i])
         sizes[j] += 1
         remainders[j] = (-1.0, remainders[j][1])
-    for frac, size, tag in zip(fractions, sizes, (SPLIT_TRAIN, SPLIT_DEV, SPLIT_TEST)):
+    for frac, size, tag in zip(fractions, sizes, ("train", "dev", "test")):
         if frac > 0 and size == 0:
             raise ConfigError(f"{tag} fraction {frac} yields an empty split for n={n}")
     return sizes
@@ -150,13 +151,7 @@ def split_sizes(n: int, fractions) -> list[int]:
 def split(dataset: Dataset, fractions, seed: int) -> tuple[Dataset, Dataset, Dataset]:
     """Deterministic shuffled partition into train/dev/test by split_sizes."""
     n = len(dataset)
-    sizes = split_sizes(n, fractions)
+    train_size, dev_size, _ = split_sizes(n, fractions)
     order = RngState(seed).derive("split").permutation(n)
-    out = []
-    offset = 0
-    for size, tag in zip(sizes, (SPLIT_TRAIN, SPLIT_DEV, SPLIT_TEST)):
-        idx = order[offset:offset + size]
-        out.append(Dataset([dataset.examples[i] for i in idx],
-                           dataset.vocab_size, dataset.num_classes, tag))
-        offset += size
-    return tuple(out)
+    parts = np.split(order, [train_size, train_size + dev_size])
+    return tuple(dataset.take(idx) for idx in parts)

@@ -140,20 +140,20 @@ def optimizer_step(params, grads, lr: float, state: OptimizerState):
 
 
 class BatchStream:
-    """Epoch-shuffled batches, exactly epochs * ceil(n / batch) of them.
+    """Epoch-shuffled batches of a Dataset's rows, epochs * ceil(n / batch) of them.
 
     Reshuffles from a per-epoch derived stream, so the order is a pure
     function of (seed, epoch). Returns None when the step budget is spent;
     within the budget, epoch boundaries are crossed transparently.
     """
 
-    def __init__(self, examples, batch_size: int, epochs: int, rng: RngState):
+    def __init__(self, data: tasks.Dataset, batch_size: int, epochs: int, rng: RngState):
         if batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-        self.examples = examples
+        self.data = data
         self.batch_size = batch_size
         self.rng = rng
-        n = len(examples)
+        n = len(data)
         self.steps_per_epoch = 0 if n == 0 else -(-n // batch_size)
         self.total_steps = epochs * self.steps_per_epoch
         self.step = 0
@@ -170,10 +170,9 @@ class BatchStream:
         epoch = self.step // self.steps_per_epoch
         if epoch != self._epoch:
             self._epoch = epoch
-            self._order = self.rng.derive(epoch).permutation(len(self.examples))
+            self._order = self.rng.derive(epoch).permutation(len(self.data))
         pos = (self.step % self.steps_per_epoch) * self.batch_size
-        idx = self._order[pos:pos + self.batch_size]
-        batch = [self.examples[i] for i in idx]
+        batch = self.data.take(self._order[pos:pos + self.batch_size])
         step = self.step
         self.step += 1
         return step, epoch, batch
@@ -184,15 +183,14 @@ class BatchStream:
 # ---------------------------------------------------------------------------
 
 
-def evaluate(params: TaskModelParams, samples) -> float:
+def evaluate(params: TaskModelParams, samples: tasks.Dataset) -> float:
     """Clean-forward accuracy (no masks ever apply at evaluation)."""
-    if not samples:
+    if not len(samples):
         raise ContractViolation("evaluation needs at least one sample")
     correct = 0
-    for tokens, label in samples:
+    for tokens, label in zip(samples.tokens, samples.labels):
         logits, _ = task_forward(params, tokens)
-        if int(np.argmax(logits[0])) == int(label):
-            correct += 1
+        correct += int(np.argmax(logits[0]) == label)
     return correct / len(samples)
 
 
@@ -217,7 +215,7 @@ def sync_models(defender: TaskModelParams, attacker: TaskModelParams,
 
 
 def _update_on_batch(params, batch, lr, opt_state, item_masks=None, skip_blocks=None):
-    """Forward the batch one sequence at a time, item i under the layer
+    """Forward the batch (a Dataset) one sequence at a time, item i under the layer
     masks item_masks[i] and every item under skip_blocks; average the loss,
     sum every item's gradient into opt_state's cleared gradient tree and
     apply one optimizer step. Returns the loss; a non-finite loss raises
@@ -225,13 +223,11 @@ def _update_on_batch(params, batch, lr, opt_state, item_masks=None, skip_blocks=
     item_masks = [None] * len(batch) if item_masks is None else item_masks
     logits_rows = []
     caches = []
-    labels = []
-    for (tokens, label), layer_masks in zip(batch, item_masks):
+    for tokens, layer_masks in zip(batch.tokens, item_masks):
         logits, cache = task_forward(params, tokens, layer_masks, skip_blocks)
         logits_rows.append(logits[0])
         caches.append(cache)
-        labels.append(label)
-    loss, dlogits = cross_entropy_logits(np.stack(logits_rows), labels)
+    loss, dlogits = cross_entropy_logits(np.stack(logits_rows), batch.labels)
     if not np.isfinite(loss):
         raise DivergenceError(f"non-finite batch loss {loss}")
     grads = opt_state.grads
@@ -250,6 +246,7 @@ def _update_on_batch(params, batch, lr, opt_state, item_masks=None, skip_blocks=
 @dataclass
 class AttendOutGame:
     """decisions holds the open window's (tokens, MaskDecision) pairs;
+    eval_pool is the Dataset each window draws its evaluation rows from;
     windows_done counts finished windows, one generator update each. The
     task models and optimizer states are never reassigned; sync writes into them.
     policy_buffers are the generator update's two gradient trees, made once."""
@@ -260,7 +257,7 @@ class AttendOutGame:
     opt_defender: OptimizerState
     opt_attacker: OptimizerState
     baseline: Baseline
-    eval_pool: list
+    eval_pool: tasks.Dataset
     policy_rng: RngState
     eval_rng: RngState
     sync_rng: RngState
@@ -295,7 +292,7 @@ def dropout_step(game: AttendOutGame, stream: BatchStream, cfg: TrainConfig):
 
         step_decisions = [
             (tokens, gnet_sample_masks(game.generator, tokens, num_layers, game.policy_rng))
-            for tokens, _ in batch
+            for tokens in batch.tokens
         ]
         item_masks = [[MaskMatrix.from_drop_bits(bits) for bits in decision.masks]
                       for _, decision in step_decisions]
@@ -312,7 +309,7 @@ def dropout_step(game: AttendOutGame, stream: BatchStream, cfg: TrainConfig):
     if len(rows) == cfg.dropout_step:
         draw = game.eval_rng.derive(game.windows_done)
         idx = draw.choice_without_replacement(len(game.eval_pool), cfg.dropout_step)
-        samples = [game.eval_pool[i] for i in idx]
+        samples = game.eval_pool.take(idx)
         eval_d = evaluate(game.defender, samples)
         eval_a = evaluate(game.attacker, samples)
 
@@ -361,9 +358,8 @@ def _generate_dataset(cfg: TrainConfig) -> tasks.Dataset:
 
 def train(config: TrainConfig) -> TrainResult:
     """Run one training job as configured; pure function of the config."""
-    full = _generate_dataset(config)
     fractions = (config.train_fraction, config.dev_fraction, config.test_fraction)
-    train_ds, dev_ds, test_ds = tasks.split(full, fractions, config.seed)
+    train_ds, dev_ds, _ = tasks.split(_generate_dataset(config), fractions, config.seed)
     mcfg = model_config(config)
     root = RngState(config.seed)
 
@@ -375,8 +371,7 @@ def train(config: TrainConfig) -> TrainResult:
 def _train_single(cfg: TrainConfig, mcfg: ModelConfig, train_ds, dev_ds, root):
     model = init_task_model(mcfg, cfg.seed)
     opt = optimizer_state(model, cfg.opt_algo, cfg.momentum)
-    stream = BatchStream(train_ds.examples, cfg.batch_size, cfg.epochs,
-                         root.derive("data"))
+    stream = BatchStream(train_ds, cfg.batch_size, cfg.epochs, root.derive("data"))
     mask_rng = root.derive("masks")
 
     metrics = []
@@ -399,9 +394,9 @@ def _train_single(cfg: TrainConfig, mcfg: ModelConfig, train_ds, dev_ds, root):
             mode = cfg.vanilla_mode if cfg.method == METHOD_VANILLA else "scores"
             rescale = cfg.method == METHOD_VANILLA and cfg.vanilla_rescale
             item_masks = [
-                [vanilla_attention_mask(tokens.size, probs[i], mask_rng, mode, rescale)
+                [vanilla_attention_mask(cfg.seq_len, probs[i], mask_rng, mode, rescale)
                  for i in range(cfg.layers)]
-                for tokens, _ in batch
+                for _ in range(len(batch))
             ]
             row["drop_prob"] = [float(p) for p in probs]
         elif cfg.method == METHOD_LAYERDROP:
@@ -419,19 +414,17 @@ def _train_single(cfg: TrainConfig, mcfg: ModelConfig, train_ds, dev_ds, root):
         row["loss_D"] = loss
         metrics.append(row)
 
-    dev_accuracy = evaluate(model, dev_ds.examples) if len(dev_ds) else float("nan")
+    dev_accuracy = evaluate(model, dev_ds) if len(dev_ds) else float("nan")
     return TrainResult(cfg.method, metrics, mask_trace, {"model": model},
                        dev_accuracy, extra={"total_steps": stream.total_steps})
 
 
 def _train_attendout(cfg: TrainConfig, mcfg: ModelConfig, train_ds, dev_ds, root):
-    train_examples = list(train_ds.examples)
-    if cfg.eval_pool == "dev":
-        eval_pool = list(dev_ds.examples)
-    else:
-        held = eval_slice_size(len(train_examples), cfg.eval_slice_fraction)
-        eval_pool = train_examples[-held:]
-        train_examples = train_examples[:-held]
+    eval_pool = dev_ds
+    if cfg.eval_pool == "train_slice":
+        held = eval_slice_size(len(train_ds), cfg.eval_slice_fraction)
+        eval_pool = train_ds.take(slice(-held, None))
+        train_ds = train_ds.take(slice(None, -held))
     defender = init_task_model(mcfg, cfg.seed)
     attacker = ptree.copy_tree(defender)
     generator = init_generator(
@@ -449,8 +442,7 @@ def _train_attendout(cfg: TrainConfig, mcfg: ModelConfig, train_ds, dev_ds, root
     )
     game.boundary_identical &= ptree.trees_equal(game.defender, game.attacker)
 
-    stream = BatchStream(train_examples, cfg.batch_size, cfg.epochs,
-                         root.derive("data"))
+    stream = BatchStream(train_ds, cfg.batch_size, cfg.epochs, root.derive("data"))
     metrics = []
     mask_trace = []
     while stream.remaining > 0:
@@ -461,8 +453,8 @@ def _train_attendout(cfg: TrainConfig, mcfg: ModelConfig, train_ds, dev_ds, root
             for layer, prob in enumerate(rows[-1]["drop_prob"]):
                 mask_trace.append((before, layer, prob))
 
-    dev_accuracy = evaluate(game.defender, dev_ds.examples) if len(dev_ds) else float("nan")
-    attacker_accuracy = evaluate(game.attacker, dev_ds.examples) if len(dev_ds) else float("nan")
+    dev_accuracy = evaluate(game.defender, dev_ds) if len(dev_ds) else float("nan")
+    attacker_accuracy = evaluate(game.attacker, dev_ds) if len(dev_ds) else float("nan")
     return TrainResult(
         cfg.method, metrics, mask_trace,
         {"defender": game.defender, "attacker": game.attacker,

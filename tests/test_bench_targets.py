@@ -5,6 +5,9 @@ the arguments the program passes, without running the benchmark."""
 
 import importlib.util
 import json
+import math
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -13,7 +16,8 @@ import pytest
 from attendout import cli, tasks, trainer
 from attendout.config import parse_config_text
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS_PATH = ROOT / "perfbench" / "spans.py"
 
 TINY = """
 [run]
@@ -41,11 +45,41 @@ batch_size = 6
 """
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # a dataclass looks its module up by name
     spec.loader.exec_module(module)
     return module
+
+
+def _load_spans():
+    return _load_perfbench("spans")
+
+
+def _run_child(tmp_path, mode, *options):
+    """Run the benchmark's child.py in a fresh process, as perfbench/run.py does;
+    returns the report it wrote."""
+    report = tmp_path / f"{mode}.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), mode, "--src", str(ROOT / "src"),
+         "--report", str(report), *options],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(report.read_text())
+
+
+def test_benchmark_child_env_and_setup_run_on_every_workload(tmp_path):
+    # child.py calls the package directly (tasks, config, models), so a
+    # change to those calls would otherwise first fail inside the benchmark
+    assert _run_child(tmp_path, "env")["numpy"]
+    workloads = _load_perfbench("workloads")
+    for name in workloads.WORKLOADS:
+        ini = tmp_path / f"{name}.ini"
+        ini.write_text(workloads.config_text(name, 1))
+        setup_s = _run_child(tmp_path, "setup", "--config", str(ini))["setup_s"]
+        assert math.isfinite(setup_s) and setup_s > 0, name
 
 
 def test_every_span_target_resolves():

@@ -197,12 +197,19 @@ SCHEDULED_2_LAYERS = (MINIMAL.replace("method = none", "method = scheduled")
     MINIMAL + "momentum = 1.0\n",
     MINIMAL.replace("seed = 1", "seed = -1"),
     MINIMAL.replace("seed = 1", f"seed = {1 << 64}"),
+    # options that the chosen algorithm or mode would ignore
+    MINIMAL + "momentum = 0.9\n",
+    MINIMAL.replace("method = none", "method = vanilla")
+    + "\n[vanilla]\np = 0.1\nmode = scores\nrescale = true\n",
+    MINIMAL.replace("method = none", "method = vanilla")
+    + "\n[vanilla]\np = 0.1\nrescale = true\n",
 ], ids=["baseline_decay", "gnet_dim", "eval_slice_fraction", "brackets_even_seq_len",
         "scheduled_slope_count", "fraction_sum", "heads", "eval_pool_below_T",
         "majority_vocab", "schedule_file_missing", "schedule_file_layer_out_of_range",
         "gnet_dim_resolves_to_zero", "lr_nan", "lr_inf", "gnet_lr_nan",
         "momentum_nan", "momentum_negative", "momentum_above_one", "momentum_one",
-        "seed_negative", "seed_2_64"])
+        "seed_negative", "seed_2_64", "momentum_under_adam", "rescale_under_scores",
+        "rescale_under_default_mode"])
 def test_cmd_train_bad_value_fails_before_run_dir(tmp_path, capsys, text):
     _write(tmp_path, "layer5.schedule", "0 0 0.5\n5 0 0.5\n1 0 0.5\n")
     cfg_path = _write(tmp_path, "bad.ini", text.replace("{tmp}", str(tmp_path)))
@@ -433,6 +440,32 @@ def test_cli_rejects_a_seed_set_outside_the_stream_before_writing(tmp_path, caps
     assert main(args) == 2
     assert "seed" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    "train --config {cfg} --out {taken}",
+    "train --config {dir} --out {out}",
+    "train --config {latin1_cfg} --out {out}",
+    "replay-schedule --config {cfg} --schedule {dir} --out {out}",
+    "replay-schedule --config {cfg} --schedule {latin1_sched} --out {out}",
+    "compare {cfg} {latin1_cfg} --out {out}",
+], ids=["train_out_is_a_file", "train_config_is_a_dir", "train_config_not_utf8",
+        "replay_schedule_is_a_dir", "replay_schedule_not_utf8", "compare_config_not_utf8"])
+def test_cli_file_errors_exit_two_with_one_line_before_writing(tmp_path, capsys, argv):
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    latin1_cfg = tmp_path / "latin1.ini"
+    latin1_cfg.write_bytes(("# caf\xe9\n" + MINIMAL).encode("latin-1"))
+    latin1_sched = tmp_path / "latin1.schedule"
+    latin1_sched.write_bytes("# caf\xe9\n0 0 0.0\n".encode("latin-1"))
+    out = tmp_path / "out"
+    args = argv.format(cfg=_write(tmp_path, "run.ini", MINIMAL), taken=taken, dir=tmp_path,
+                       latin1_cfg=latin1_cfg, latin1_sched=latin1_sched, out=out).split()
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+    assert taken.read_text() == "keep\n"
 
 
 def test_compare_rejects_unfair_configs(tmp_path):

@@ -510,6 +510,42 @@ def test_checkpoint_rejects_meta_that_does_not_fit_config(tmp_path, kind, meta, 
         load_checkpoint(tmp_path / "c.npz")
 
 
+def _truncated_checkpoint(path):
+    save_checkpoint(path, init_task_model(SMALL, 3))
+    blob = path.read_bytes()
+    path.write_bytes(blob[:len(blob) // 2])
+
+
+def _one_array(path):
+    with open(path, "wb") as fh:
+        np.save(fh, np.zeros(3))
+
+
+def _meta(kind, **changes):
+    base = vars(SMALL) if kind == "task" else vars(GEN)
+    return lambda path: _write_v1(path, kind, {**base, **changes}, {})
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: path.write_bytes(b"not an npz archive"),
+    lambda path: path.write_bytes(b""),
+    _truncated_checkpoint,
+    _one_array,
+    _meta("generator", tau=-1),
+    _meta("generator", tau="x"),
+    _meta("generator", dim=4.5),
+    _meta("task", d_model=4, num_heads=3),
+    _meta("task", d_model="4"),
+], ids=["not_npz", "empty", "truncated", "npy_array", "generator_tau_negative",
+        "generator_tau_string", "generator_dim_float", "task_heads_do_not_divide",
+        "task_d_model_string"])
+def test_checkpoint_rejects_unreadable_file_or_unbuildable_meta(tmp_path, write):
+    path = tmp_path / "c.npz"
+    write(path)
+    with pytest.raises(nk.ContractViolation):
+        load_checkpoint(path)
+
+
 # ---------------------------------------------------------------------------
 # layer norm: row means as sum / d
 # ---------------------------------------------------------------------------

@@ -96,13 +96,13 @@ def test_baseline_initializes_to_first_mean():
 
 
 def test_baseline_one_step_recurrence():
-    b = Baseline(0.0, 0.9, True)
+    b = Baseline(0.9, 0.0, True)
     b = update_baseline(b, compute_rewards(1.0, 0.0))
     assert abs(b.value - 0.1) <= 1e-15
 
 
 def test_baseline_geometric_convergence():
-    b = Baseline(0.0, 0.9, True)
+    b = Baseline(0.9, 0.0, True)
     c = -1.0
     rec = compute_rewards(0.2, 0.9)  # constant reward -1
     for _ in range(100):
@@ -126,7 +126,7 @@ def test_zero_advantage_leaves_params_bitwise():
     rng = nk.RngState(1)
     decisions = [(TOY_TOKENS, gnet_sample_masks(g, TOY_TOKENS, 1, rng)) for _ in range(3)]
     rewards = compute_rewards(0.7, 0.7)  # tie: zero reward
-    reinforce_update(g, decisions, rewards, Baseline(0.0, 0.9, True), 1.0, _buffers(g))
+    reinforce_update(g, decisions, rewards, Baseline(0.9, 0.0, True), 1.0, _buffers(g))
     assert ptree.trees_equal(g, before)
 
 
@@ -138,7 +138,7 @@ def test_tie_after_negative_baseline_steps_by_decayed_advantage():
     rng = nk.RngState(1)
     decisions = [(TOY_TOKENS, gnet_sample_masks(g, TOY_TOKENS, 1, rng)) for _ in range(3)]
     rewards = compute_rewards(0.7, 0.7)
-    baseline = update_baseline(Baseline(-0.5, 0.9, True), rewards)
+    baseline = update_baseline(Baseline(0.9, -0.5, True), rewards)
     reinforce_update(g, decisions, rewards, baseline, 1.0, _buffers(g))
     total = sum(ptree.flatten(logprob_grad(before, tokens, d)) for tokens, d in decisions)
     delta = g.flat - before.flat
@@ -156,7 +156,7 @@ def test_single_decision_update_direction():
         rewards = compute_rewards(1.0 if reward > 0 else 0.0,
                                   0.0 if reward > 0 else 1.0)
         reinforce_update(probe, [(TOY_TOKENS, decision)], rewards,
-                         Baseline(0.0, 0.9, True), 0.5, _buffers(g))
+                         Baseline(0.9, 0.0, True), 0.5, _buffers(g))
         delta = ptree.flatten(probe) - ptree.flatten(g)
         assert np.abs(delta - 0.5 * sign * grad).max() <= 1e-15
 
@@ -168,7 +168,7 @@ def test_two_step_update_matches_per_decision_arithmetic():
     decisions = [(tokens, gnet_sample_masks(g, tokens, 2, rng))
                  for batch in steps for tokens in batch]
     rewards = compute_rewards(0.75, 0.5)
-    baseline = Baseline(0.25, 0.9, True)
+    baseline = Baseline(0.9, 0.25, True)
     lr = 0.3
     # one reward copy per decision, one advantage each, one add_scaled per
     # tree, then the lr step
@@ -188,7 +188,7 @@ def test_update_allocates_no_tree_and_ignores_what_its_buffers_held(monkeypatch)
     fresh = ptree.copy_tree(g)
     rng = nk.RngState(4)
     decisions = [(TOY_TOKENS, gnet_sample_masks(g, TOY_TOKENS, 1, rng)) for _ in range(5)]
-    rewards, baseline = compute_rewards(1.0, 0.0), Baseline(0.0, 0.9, True)
+    rewards, baseline = compute_rewards(1.0, 0.0), Baseline(0.9, 0.0, True)
     reinforce_update(fresh, decisions, rewards, baseline, 0.1, _buffers(g))
     used = _buffers(g)
     for tree in used:
@@ -205,7 +205,7 @@ def test_length_mismatch_rejected():
     g = _toy_generator()
     rewards = compute_rewards(1.0, 0.0)
     with pytest.raises(nk.ContractViolation):
-        reinforce_update(g, [], rewards, Baseline(), 0.1, _buffers(g))
+        reinforce_update(g, [], rewards, Baseline(0.9), 0.1, _buffers(g))
 
 
 # ---------------------------------------------------------------------------

@@ -17,14 +17,15 @@ from attendout.models import (
     task_forward,
 )
 from attendout.numkernel import RngState, cross_entropy_logits
+from attendout.tasks import Dataset
 from attendout.trainer import optimizer_state, optimizer_step, sync_models
 from conftest import optimizer_step_reference, rand_attention
 
 CFG = ModelConfig(vocab_size=9, max_len=6, num_layers=2, d_model=8,
                   d_ff=16, num_heads=2, num_classes=3)
 GEN = GeneratorConfig(vocab_size=9, dim=4, tau=0.7)
-BATCH = [(np.array([0, 3, 8, 2, 5, 1]), 1), (np.array([0, 1, 1, 4]), 2),
-         (np.array([0, 7, 7, 7, 2]), 0)]
+BATCH = Dataset(np.array([[0, 3, 8, 2, 5, 1], [0, 1, 1, 4, 6, 6], [0, 7, 7, 7, 2, 3]]),
+                np.array([1, 2, 0]), num_classes=3)
 
 
 def _trees(tmp_path):
@@ -38,11 +39,11 @@ def _trees(tmp_path):
 
 def _batch_grads(params):
     logits, caches = [], []
-    for tokens, _ in BATCH:
+    for tokens in BATCH.tokens:
         lg, cache = task_forward(params, tokens)
         logits.append(lg[0])
         caches.append(cache)
-    _, dlogits = cross_entropy_logits(np.stack(logits), [label for _, label in BATCH])
+    _, dlogits = cross_entropy_logits(np.stack(logits), BATCH.labels)
     grads = ptree.zeros_like(params)
     for i, cache in enumerate(caches):
         task_backward(cache, dlogits[i:i + 1], grads)

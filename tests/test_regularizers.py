@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -60,7 +61,7 @@ def test_vanilla_full_row_escalates():
 
 
 def test_vanilla_weights_mode(rng):
-    bits = nk.bernoulli_array(0.3, (5, 5), rng.clone())
+    bits = nk.bernoulli_array(0.3, (5, 5), dataclasses.replace(rng))
     mask = vanilla_attention_mask(5, 0.3, rng, mode="weights")
     assert mask.mode is MaskMode.WEIGHTS
     assert mask.drop.dtype == np.bool_

@@ -37,29 +37,29 @@ def _stack_check(brackets) -> bool:
 
 def test_majority_label_definition():
     ds = gen_majority_token(300, 12, 8, seed=1)
-    for tokens, label in ds.examples:
+    assert ds.tokens.shape == (300, 12) and ds.labels.shape == (300,)
+    assert ds.tokens.dtype == ds.labels.dtype == np.int64
+    for tokens, label in zip(ds.tokens, ds.labels):
         assert tokens[0] == CLS_ID
         count_a = int(np.sum(tokens[1:] == TOKEN_A))
         count_b = int(np.sum(tokens[1:] == TOKEN_B))
         assert count_a != count_b  # ties excluded
         assert label == (1 if count_a > count_b else 0)
-        assert tokens.size == 12
         assert np.all(tokens[1:] >= 1) and np.all(tokens < 8)
 
 
 def test_majority_deterministic():
     a = gen_majority_token(50, 10, 6, seed=9)
     b = gen_majority_token(50, 10, 6, seed=9)
-    assert all(np.array_equal(x[0], y[0]) and x[1] == y[1]
-               for x, y in zip(a.examples, b.examples))
+    assert np.array_equal(a.tokens, b.tokens) and np.array_equal(a.labels, b.labels)
     c = gen_majority_token(50, 10, 6, seed=10)
-    assert any(not np.array_equal(x[0], y[0]) for x, y in zip(a.examples, c.examples))
+    assert not np.array_equal(a.tokens, c.tokens)
 
 
 def test_majority_balance():
     for n in (100, 101):
         ds = gen_majority_token(n, 10, 6, seed=2)
-        ones = sum(label for _, label in ds.examples)
+        ones = int(ds.labels.sum())
         assert abs(ones - (n - ones)) <= 1
 
 
@@ -69,12 +69,13 @@ def test_majority_balance():
     (1, 2, 5, 0), (0, 4, 3, 1),
 ])
 def test_majority_blocks_match_per_candidate_draws(n, seq_len, vocab, seed):
-    got = gen_majority_token(n, seq_len, vocab, seed).examples
+    got = gen_majority_token(n, seq_len, vocab, seed)
     want = gen_majority_token_reference(n, seq_len, vocab, seed)
-    assert len(got) == len(want) == n
-    for (tokens, label), (ref_tokens, ref_label) in zip(got, want):
-        assert tokens.dtype == ref_tokens.dtype and np.array_equal(tokens, ref_tokens)
-        assert type(label) is int and label == ref_label
+    assert got.tokens.shape == (n, seq_len) and got.labels.shape == (n,) and len(want) == n
+    assert got.tokens.dtype == got.labels.dtype == np.int64
+    for tokens, label, (ref_tokens, ref_label) in zip(got.tokens, got.labels, want):
+        assert np.array_equal(tokens, ref_tokens)
+        assert label == ref_label
 
 
 def test_majority_validates_parameters():
@@ -97,24 +98,23 @@ def test_brackets_known_strings():
 
 def test_brackets_labels_match_stack_oracle():
     ds = gen_balanced_brackets(300, 10, seed=3)
-    for tokens, label in ds.examples:
+    assert ds.tokens.shape == (300, 11) and ds.labels.shape == (300,)
+    assert ds.tokens.dtype == ds.labels.dtype == np.int64
+    for tokens, label in zip(ds.tokens, ds.labels):
         assert tokens[0] == CLS_ID
-        assert tokens.size == 11
         assert label == int(_stack_check(tokens[1:]))
 
 
 def test_brackets_balanced_classes():
     ds = gen_balanced_brackets(200, 8, seed=4)
-    ones = sum(label for _, label in ds.examples)
-    assert ones == 100
+    assert int(ds.labels.sum()) == 100
 
 
 def test_brackets_counts_stay_equal():
     # negatives are near misses: the bracket multiset never changes
     ds = gen_balanced_brackets(100, 8, seed=5)
-    for tokens, _ in ds.examples:
-        assert int(np.sum(tokens == OPEN_ID)) == 4
-        assert int(np.sum(tokens == CLOSE_ID)) == 4
+    assert np.all(np.sum(ds.tokens == OPEN_ID, axis=1) == 4)
+    assert np.all(np.sum(ds.tokens == CLOSE_ID, axis=1) == 4)
 
 
 def test_brackets_validates_length():
@@ -138,19 +138,18 @@ def test_split_deterministic():
     a = split(ds, (0.8, 0.1, 0.1), seed=5)
     b = split(ds, (0.8, 0.1, 0.1), seed=5)
     for part_a, part_b in zip(a, b):
-        assert all(np.array_equal(x[0], y[0]) for x, y in zip(part_a.examples, part_b.examples))
+        assert np.array_equal(part_a.tokens, part_b.tokens)
+        assert np.array_equal(part_a.labels, part_b.labels)
 
 
 def test_split_union_is_original_multiset():
     ds = gen_majority_token(57, 10, 6, seed=8)
     parts = split(ds, (0.6, 0.2, 0.2), seed=2)
     assert sum(len(p) for p in parts) == 57
-    original = sorted(tuple(t.tolist()) + (label,) for t, label in ds.examples)
-    recombined = sorted(
-        tuple(t.tolist()) + (label,)
-        for part in parts for t, label in part.examples
-    )
-    assert original == recombined
+    def rows(d):
+        return sorted(tuple(t) + (label,)
+                      for t, label in zip(d.tokens.tolist(), d.labels.tolist()))
+    assert rows(ds) == sorted(row for part in parts for row in rows(part))
 
 
 def test_split_rejects_empty_nonzero_fraction():
@@ -159,10 +158,15 @@ def test_split_rejects_empty_nonzero_fraction():
         split(ds, (0.9, 0.05, 0.05), seed=0)
 
 
-def test_split_tags():
+def test_take_selects_rows_in_the_given_order():
     ds = gen_majority_token(30, 10, 6, seed=10)
-    train, dev, test = split(ds, (0.5, 0.25, 0.25), seed=0)
-    assert (train.split, dev.split, test.split) == ("train", "dev", "test")
+    idx = np.array([7, 2, 2, 29])
+    part = ds.take(idx)
+    assert len(part) == 4 and part.num_classes == ds.num_classes
+    assert np.array_equal(part.tokens, ds.tokens[idx])
+    assert np.array_equal(part.labels, ds.labels[idx])
+    tail = ds.take(slice(-5, None))
+    assert np.array_equal(tail.tokens, ds.tokens[25:]) and len(tail) == 5
 
 
 # ---------------------------------------------------------------------------

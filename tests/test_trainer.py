@@ -19,7 +19,7 @@ from attendout.numkernel import (
     RngState,
     cross_entropy_logits,
 )
-from attendout.tasks import gen_majority_token, split
+from attendout.tasks import Dataset, gen_majority_token, split
 from attendout.trainer import (
     AttendOutGame,
     BatchStream,
@@ -141,8 +141,8 @@ def test_optimizer_rejects_nonfinite_gradient():
 GRAD_CFG = ModelConfig(vocab_size=6, max_len=6, num_layers=3, d_model=8,
                        d_ff=16, num_heads=2, num_classes=3)
 # every sequence repeats tokens, so the token-embedding scatter sums rows
-GRAD_BATCH = [(np.array([0, 3, 3, 5, 3, 1]), 1), (np.array([0, 2, 2, 2, 4, 2]), 2),
-              (np.array([0, 5, 1, 5, 1, 5]), 0)]
+GRAD_BATCH = Dataset(np.array([[0, 3, 3, 5, 3, 1], [0, 2, 2, 2, 4, 2], [0, 5, 1, 5, 1, 5]]),
+                     np.array([1, 2, 0]), num_classes=3)
 GRAD_SKIPS = np.array([0, 0, 1])
 
 
@@ -169,11 +169,11 @@ def test_batch_gradient_buffer_matches_per_item_trees_bitwise(monkeypatch):
 
     # reference: a fresh zeroed tree per item, summed in item order
     logits, caches = [], []
-    for (tokens, _), masks in zip(GRAD_BATCH, item_masks):
+    for tokens, masks in zip(GRAD_BATCH.tokens, item_masks):
         lg, cache = task_forward(params, tokens, masks, GRAD_SKIPS)
         logits.append(lg[0])
         caches.append(cache)
-    _, dlogits = cross_entropy_logits(np.stack(logits), [label for _, label in GRAD_BATCH])
+    _, dlogits = cross_entropy_logits(np.stack(logits), GRAD_BATCH.labels.tolist())
     per_item = []
     for i, cache in enumerate(caches):
         g = ptree.zeros_like(params)
@@ -237,7 +237,7 @@ def test_evaluate_constant_model_on_balanced_set():
     params.head_w[...] = 0.0
     params.head_b[...] = 0.0  # logits identical, argmax always class 0
     ds = gen_majority_token(40, 10, 8, seed=1)
-    assert evaluate(params, ds.examples) == 0.5
+    assert evaluate(params, ds) == 0.5
 
 
 def test_evaluate_memorizing_model_hits_one():
@@ -245,7 +245,7 @@ def test_evaluate_memorizing_model_hits_one():
     result = train(cfg)
     full = gen_majority_token(cfg.data_n, cfg.seq_len, cfg.vocab, cfg.seed)
     train_ds, _, _ = split(full, (0.5, 0.3, 0.2), cfg.seed)
-    assert evaluate(result.models["model"], train_ds.examples) == 1.0
+    assert evaluate(result.models["model"], train_ds) == 1.0
 
 
 def test_evaluate_matches_independent_recount():
@@ -254,16 +254,16 @@ def test_evaluate_matches_independent_recount():
     params = init_task_model(cfg, 5)
     ds = gen_majority_token(30, 10, 8, seed=2)
     correct = 0
-    for tokens, label in ds.examples:
-        logits, _ = task_forward(params, tokens)
+    for tokens, label in zip(ds.tokens.tolist(), ds.labels.tolist()):
+        logits, _ = task_forward(params, np.array(tokens))
         correct += int(int(np.argmax(logits[0])) == label)
-    assert evaluate(params, ds.examples) == correct / 30
+    assert evaluate(params, ds) == correct / 30
 
 
 def test_evaluate_rejects_empty():
     params = _scalar_params()
     with pytest.raises(ContractViolation):
-        evaluate(params, [])
+        evaluate(params, gen_majority_token(0, 4, 3, seed=0))
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +334,8 @@ def test_sync_rejects_structural_mismatch():
 
 
 def test_batch_stream_exact_step_count():
-    examples = [(np.array([0, i % 5]), i % 2) for i in range(10)]
-    stream = BatchStream(examples, batch_size=4, epochs=3, rng=RngState(1))
+    data = Dataset(np.array([[0, i % 5] for i in range(10)]), np.arange(10) % 2, 2)
+    stream = BatchStream(data, batch_size=4, epochs=3, rng=RngState(1))
     assert stream.steps_per_epoch == 3
     seen = []
     while True:
@@ -348,22 +348,22 @@ def test_batch_stream_exact_step_count():
 
 
 def test_batch_stream_epoch_covers_dataset():
-    examples = [(np.array([0, i]), 0) for i in range(10)]
-    stream = BatchStream(examples, batch_size=4, epochs=1, rng=RngState(2))
+    data = Dataset(np.array([[0, i] for i in range(10)]), np.zeros(10, dtype=np.int64), 2)
+    stream = BatchStream(data, batch_size=4, epochs=1, rng=RngState(2))
     ids = []
     while (item := stream.next()) is not None:
-        ids += [int(t[1]) for t, _ in item[2]]
+        ids += item[2].tokens[:, 1].tolist()
     assert sorted(ids) == list(range(10))
 
 
 def test_batch_stream_deterministic():
-    examples = [(np.array([0, i]), 0) for i in range(9)]
+    data = Dataset(np.array([[0, i] for i in range(9)]), np.zeros(9, dtype=np.int64), 2)
     runs = []
     for _ in range(2):
-        stream = BatchStream(examples, 3, 2, RngState(7).derive("data"))
+        stream = BatchStream(data, 3, 2, RngState(7).derive("data"))
         order = []
         while (item := stream.next()) is not None:
-            order += [int(t[1]) for t, _ in item[2]]
+            order += item[2].tokens[:, 1].tolist()
         runs.append(order)
     assert runs[0] == runs[1]
 
@@ -403,13 +403,12 @@ def _fresh_game(cfg, generator=None, seed=None):
         opt_defender=optimizer_state(defender, cfg.opt_algo, cfg.momentum),
         opt_attacker=optimizer_state(attacker, cfg.opt_algo, cfg.momentum),
         baseline=Baseline(decay=0.9),
-        eval_pool=list(dev_ds.examples),
+        eval_pool=dev_ds,
         policy_rng=root.derive("policy"),
         eval_rng=root.derive("eval"),
         sync_rng=root.derive("sync"),
     )
-    stream = BatchStream(train_ds.examples, cfg.batch_size, cfg.epochs,
-                         root.derive("data"))
+    stream = BatchStream(train_ds, cfg.batch_size, cfg.epochs, root.derive("data"))
     return game, stream
 
 
@@ -451,7 +450,7 @@ def test_synced_models_and_optimizer_states_stay_independent():
                          (opt_d.grads.flat, opt_a.grads.flat)):
         assert not np.shares_memory(mine, theirs)
     attacker_before = (a.flat.copy(), opt_a.m.copy(), opt_a.v.copy(), opt_a.t)
-    trainer._update_on_batch(d, game.eval_pool[:4], 0.01, opt_d)
+    trainer._update_on_batch(d, game.eval_pool.take(slice(4)), 0.01, opt_d)
     assert not np.array_equal(d.flat, a.flat)
     assert np.array_equal(a.flat, attacker_before[0])
     assert np.array_equal(opt_a.m, attacker_before[1])
@@ -478,7 +477,7 @@ def test_tie_window_after_negative_baseline_moves_generator():
     # absorbs r first, so the advantage is 0.9 * (0 - b_prev) > 0
     cfg = _attendout_cfg(seed=2, epochs=1, T=3)
     game, stream = _fresh_game(cfg)
-    game.baseline = Baseline(-0.5, 0.9, True)
+    game.baseline = Baseline(0.9, -0.5, True)
     before = game.generator.flat.copy()
     boundary = dropout_step(game, stream, cfg)[-1]
     assert boundary["reward_mean"] == 0.0
@@ -551,7 +550,7 @@ def test_train_none_learns_separable_task():
     result = train(cfg)
     full = gen_majority_token(cfg.data_n, cfg.seq_len, cfg.vocab, cfg.seed)
     train_ds, _, _ = split(full, (0.5, 0.3, 0.2), cfg.seed)
-    assert evaluate(result.models["model"], train_ds.examples) >= 0.95
+    assert evaluate(result.models["model"], train_ds) >= 0.95
 
 
 def test_train_attendout_metrics_structure():
