@@ -85,16 +85,16 @@ class MaskMatrix:
         ALL_DROPPED when any row is fully dropped.
 
         A row with every unit dropped cannot be expressed in SCORES mode
-        (its softmax is undefined), so such a mask escalates the whole
-        layer to the constant-attention path.
+        (its softmax is undefined); the SCORES constructor refuses such a
+        mask, and the refusal escalates the layer to constant attention.
         """
         bits = np.asarray(bits)
         if bits.ndim != 2 or bits.shape[0] != bits.shape[1]:
             raise ShapeError(f"drop bits must be square, got {bits.shape}")
-        drop = bits != 0
-        if drop.all(axis=1).any():
+        try:
+            return MaskMatrix(MaskMode.SCORES, bits != 0)
+        except ContractViolation:
             return MaskMatrix.all_dropped()
-        return MaskMatrix(MaskMode.SCORES, drop)
 
 
 @dataclass

@@ -55,22 +55,6 @@ def _splitmix64(z: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def _mix(seed: int, stream: int, counter: int) -> int:
-    h = _splitmix64(seed)
-    h = _splitmix64(h ^ stream)
-    return _splitmix64(h ^ counter)
-
-
-def _mix_array(seed: int, stream: int, counters: np.ndarray) -> np.ndarray:
-    """Vectorized _mix over a uint64 counter vector (identical bit stream)."""
-    h = _splitmix64(_splitmix64(seed) ^ stream)
-    with np.errstate(over="ignore"):
-        z = (np.uint64(h) ^ counters) + np.uint64(_GOLDEN)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
-
-
 def _label_hash(label) -> int:
     if isinstance(label, bool):
         raise TypeError("stream labels must be str or int")
@@ -92,26 +76,28 @@ class RngState:
     replays the identical sequence. `derive` opens an independent
     sub-stream without touching this one, which is how data order, mask
     sampling, evaluation draws and model syncing are kept from ever
-    contending for the same draws.
+    contending for the same draws. Every sampler takes its words from
+    `_u64_array`, the one word path; bounded integers use exact rejection
+    and consume words in the order one `randint` call per bound would.
     """
 
     seed: int
     stream: int = 0
     counter: int = 0
 
-    def next_u64(self) -> int:
-        v = _mix(self.seed, self.stream, self.counter)
-        self.counter = (self.counter + 1) & _MASK64
-        return v
-
     def _u64_array(self, n: int) -> np.ndarray:
+        """The next n words: SplitMix64 of the stream key xor each counter."""
         counters = np.uint64(self.counter & _MASK64) + np.arange(n, dtype=np.uint64)
         self.counter = (self.counter + n) & _MASK64
-        return _mix_array(self.seed, self.stream, counters)
+        key = _splitmix64(_splitmix64(self.seed) ^ self.stream)
+        z = (np.uint64(key) ^ counters) + np.uint64(_GOLDEN)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
 
     def uniform(self) -> float:
         """One draw, uniform on [0, 1)."""
-        return (self.next_u64() >> 11) * 2.0**-53
+        return float(self.uniform_array(1)[0])
 
     def uniform_array(self, n: int) -> np.ndarray:
         return (self._u64_array(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
@@ -131,32 +117,43 @@ class RngState:
         r = np.sqrt(-2.0 * np.log(u[0::2]))
         return (r * np.cos(2.0 * np.pi * u[1::2])).reshape(shape)
 
+    def integers(self, bounds) -> np.ndarray:
+        """A uniform uint64 in [0, b) for each bound b in [1, 2**64), by exact
+        rejection: a word above 2**64 - 1 - (2**64 mod b) is skipped, and the
+        bounds from it on are drawn again from the word after it."""
+        b = np.asarray(bounds).reshape(-1)
+        if b.size and (b.dtype.kind not in "iu" or b.min() < 1):
+            raise ValueError(f"bounds must be integers in [1, 2**64), got {bounds!r}")
+        b = b.astype(np.uint64)
+        top = np.uint64(_MASK64) - (np.uint64(0) - b) % b
+        out, k = np.empty(b.size, dtype=np.uint64), 0
+        while k < b.size:
+            w = self._u64_array(b.size - k)
+            bad = np.flatnonzero(w > top[k:])
+            m = int(bad[0]) if bad.size else w.size
+            out[k:k + m] = w[:m] % b[k:k + m]
+            self.counter = (self.counter - w.size + m + (bad.size > 0)) & _MASK64
+            k += m
+        return out
+
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection (no modulo bias)."""
-        if n <= 0:
-            raise ValueError(f"randint needs n >= 1, got {n}")
-        limit = (1 << 64) - ((1 << 64) % n)
-        while True:
-            v = self.next_u64()
-            if v < limit:
-                return v % n
+        return int(self.integers([n])[0])
 
     def permutation(self, n: int) -> np.ndarray:
-        out = np.arange(n)
-        for i in range(n - 1, 0, -1):
-            j = self.randint(i + 1)
+        out = list(range(n))
+        for i, j in zip(range(n - 1, 0, -1), self.integers(np.arange(n, 1, -1)).tolist()):
             out[i], out[j] = out[j], out[i]
-        return out
+        return np.array(out, dtype=np.int64)
 
     def choice_without_replacement(self, n: int, k: int) -> np.ndarray:
         """First k entries of a partial Fisher-Yates shuffle of range(n)."""
         if not 0 <= k <= n:
             raise ValueError(f"cannot draw {k} of {n} without replacement")
-        pool = np.arange(n)
-        for i in range(k):
-            j = i + self.randint(n - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[:k].copy()
+        pool = list(range(n))
+        for i, j in enumerate(self.integers(np.arange(n, n - k, -1)).tolist()):
+            pool[i], pool[i + j] = pool[i + j], pool[i]
+        return np.array(pool[:k], dtype=np.int64)
 
     def derive(self, label) -> "RngState":
         """Open an independent sub-stream keyed by a label.

@@ -5,9 +5,11 @@ from attendout import models, ptree
 from attendout.attention import AttentionParams
 from attendout.models import gnet_logprob_backward
 from attendout.numkernel import (
+    _MASK64,
     ContractViolation,
     RngState,
     ShapeError,
+    _splitmix64,
     gumbel_binary_sample_array,
     log_sigmoid,
     sigmoid,
@@ -73,18 +75,67 @@ def softmax_rows_reference(m: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Scalar samplers: the one-draw-at-a-time references that the vectorized
-# numkernel samplers must match bit for bit and counter for counter.
+# numkernel samplers must match bit for bit and counter for counter. The
+# word path is RngState's former scalar twin: one pure-Python SplitMix64
+# word per call, read from and advancing the counter of any RngState.
 # ---------------------------------------------------------------------------
+
+
+def _mix(seed: int, stream: int, counter: int) -> int:
+    h = _splitmix64(seed)
+    h = _splitmix64(h ^ stream)
+    return _splitmix64(h ^ counter)
+
+
+def scalar_next_u64(rng: RngState) -> int:
+    v = _mix(rng.seed, rng.stream, rng.counter)
+    rng.counter = (rng.counter + 1) & _MASK64
+    return v
+
+
+def scalar_uniform(rng: RngState) -> float:
+    """One draw, uniform on [0, 1)."""
+    return (scalar_next_u64(rng) >> 11) * 2.0**-53
+
+
+def scalar_randint(rng: RngState, n: int) -> int:
+    """Uniform integer in [0, n) by rejection (no modulo bias)."""
+    if n <= 0:
+        raise ValueError(f"randint needs n >= 1, got {n}")
+    limit = (1 << 64) - ((1 << 64) % n)
+    while True:
+        v = scalar_next_u64(rng)
+        if v < limit:
+            return v % n
+
+
+def scalar_permutation(rng: RngState, n: int) -> np.ndarray:
+    out = np.arange(n)
+    for i in range(n - 1, 0, -1):
+        j = scalar_randint(rng, i + 1)
+        out[i], out[j] = out[j], out[i]
+    return out
+
+
+def scalar_choice_without_replacement(rng: RngState, n: int, k: int) -> np.ndarray:
+    """First k entries of a partial Fisher-Yates shuffle of range(n)."""
+    if not 0 <= k <= n:
+        raise ValueError(f"cannot draw {k} of {n} without replacement")
+    pool = np.arange(n)
+    for i in range(k):
+        j = i + scalar_randint(rng, n - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:k].copy()
 
 
 def sample_bernoulli(p: float, rng: RngState) -> int:
     """1 with probability p; consumes exactly one draw."""
-    return 1 if rng.uniform() < p else 0
+    return 1 if scalar_uniform(rng) < p else 0
 
 
 def _gumbel(rng: RngState) -> float:
     """Standard Gumbel(0, 1) from one open-interval uniform draw."""
-    u = ((rng.next_u64() >> 12) + 0.5) * 2.0**-52
+    u = ((scalar_next_u64(rng) >> 12) + 0.5) * 2.0**-52
     return float(-np.log(-np.log(u)))
 
 
