@@ -5,8 +5,9 @@ embeddings, N post-norm blocks (attention, residual, layer norm,
 feed-forward, residual, layer norm), and a classifier head read from the
 first position. It is instantiated twice by the adversarial trainer, once
 as the defender and once as the attacker; every attention regularizer,
-the attacker's learned one included, reaches it as one MaskMatrix per
-layer.
+the attacker's learned one included, reaches it as one mask per layer: a
+MaskMatrix, or a MaskStack of one per sequence when the model runs on a
+stack of sequences at once.
 
 The generator is a deliberately small policy network: its own token
 embedding of width d_g, a single one-head attention layer shared across all
@@ -26,9 +27,7 @@ import numpy as np
 
 from . import ptree
 from .attention import (
-    AttentionCache,
     AttentionParams,
-    MaskMatrix,
     attn_backward,
     attn_forward,
 )
@@ -208,10 +207,11 @@ def init_generator(config: GeneratorConfig, seed: int) -> GeneratorParams:
 
 # Row means are written as sum / d: numpy's mean computes exactly that, but
 # through a Python wrapper that costs more than the sum itself at these sizes.
+# Rows may carry leading item axes; dgain and dbias come out per item.
 def _ln_forward(x, gain, bias):
-    d = x.shape[1]
-    xc = x - x.sum(axis=1, keepdims=True) / d
-    var = (xc * xc).sum(axis=1, keepdims=True) / d
+    d = x.shape[-1]
+    xc = x - x.sum(axis=-1, keepdims=True) / d
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
     x_hat = xc * inv_std
     return gain * x_hat + bias, (x_hat, inv_std)
@@ -219,14 +219,14 @@ def _ln_forward(x, gain, bias):
 
 def _ln_backward(cache, gain, dy):
     x_hat, inv_std = cache
-    dgain = (dy * x_hat).sum(axis=0)
-    dbias = dy.sum(axis=0)
+    dgain = (dy * x_hat).sum(axis=-2)
+    dbias = dy.sum(axis=-2)
     dx_hat = dy * gain
-    d = dy.shape[1]
+    d = dy.shape[-1]
     dx = inv_std * (
         dx_hat
-        - dx_hat.sum(axis=1, keepdims=True) / d
-        - x_hat * ((dx_hat * x_hat).sum(axis=1, keepdims=True) / d)
+        - dx_hat.sum(axis=-1, keepdims=True) / d
+        - x_hat * ((dx_hat * x_hat).sum(axis=-1, keepdims=True) / d)
     )
     return dx, dgain, dbias
 
@@ -237,42 +237,39 @@ def _ln_backward(cache, gain, dy):
 
 
 @dataclass
-class _BlockCache:
-    skipped: bool
-    attn_cache: AttentionCache | None = None
-    ln1_cache: tuple | None = None
-    h1: np.ndarray | None = None
-    ff_pre: np.ndarray | None = None
-    ff_act: np.ndarray | None = None
-    ff_tanh: np.ndarray | None = None   # gelu's tanh, reused by gelu_grad
-    ln2_cache: tuple | None = None
-
-
-@dataclass
 class TaskCache:
+    """blocks holds one tuple (attention cache, ln1 cache, h1, ff_pre,
+    ff_act, ff_tanh, ln2 cache) per block, None for a skipped one; ff_tanh
+    is gelu's tanh, reused by gelu_grad. x_final is (..., 1, d_model), or
+    (..., L, d_model) when every block is skipped."""
+
     params: TaskModelParams
     tokens: np.ndarray
-    blocks: list[_BlockCache]
-    x_final: np.ndarray  # 1 x d_model; L x d_model when every block is skipped
+    blocks: list[tuple | None]
+    x_final: np.ndarray
 
 
 def task_forward(params: TaskModelParams, tokens,
-                 layer_masks: list[MaskMatrix | None] | None = None,
+                 layer_masks: list | None = None,
                  skip_blocks: np.ndarray | None = None) -> tuple[np.ndarray, TaskCache]:
-    """Forward pass over one token sequence; returns (1 x C logits, cache).
+    """Forward pass over one token sequence (L,) or a stack (..., L) of
+    them; returns (logits, cache), logits (..., 1, C): 1 x C per sequence.
 
-    layer_masks holds one MaskMatrix per layer (None: no dropout anywhere);
-    it is the one way a mask reaches the model, whether it comes from the
-    generator's drop bits, a random regularizer, or an all-dropped
-    attention layer. skip_blocks short-circuits whole blocks to identity.
-    Classification pools the first position, so the last block that runs
-    computes position 0 only: its attention takes one query row.
+    layer_masks holds one mask per layer (None: no dropout anywhere): a
+    MaskMatrix, which applies to every sequence, or a MaskStack of one
+    MaskMatrix per sequence. It is the one way a mask reaches the model,
+    whether it comes from the generator's drop bits, a random regularizer,
+    or an all-dropped attention layer. skip_blocks short-circuits whole
+    blocks to identity for every sequence. Classification pools the first
+    position, so the last block that runs computes position 0 only: its
+    attention takes one query row. Each sequence's logits have the bits
+    they would have if it ran alone.
     """
     cfg = params.config
     tokens = np.asarray(tokens, dtype=np.int64)
-    if tokens.ndim != 1 or tokens.size < 1:
-        raise ShapeError(f"tokens must be a nonempty 1-D sequence, got {tokens.shape}")
-    length = tokens.size
+    if tokens.ndim < 1 or tokens.size < 1:
+        raise ShapeError(f"tokens must be nonempty sequences, got {tokens.shape}")
+    length = tokens.shape[-1]
     if length > cfg.max_len:
         raise ShapeError(f"sequence length {length} exceeds max_len {cfg.max_len}")
     if np.any(tokens < 0) or np.any(tokens >= cfg.vocab_size):
@@ -292,67 +289,78 @@ def task_forward(params: TaskModelParams, tokens,
     blocks = []
     for i, (layer, mask, skip) in enumerate(zip(params.layers, layer_masks, skips)):
         if skip:
-            blocks.append(_BlockCache(skipped=True))
+            blocks.append(None)
             continue
         a, attn_cache = attn_forward(x, layer.attn, mask, queries=1 if i == last else None)
-        h1, ln1_cache = _ln_forward(x[:a.shape[0]] + a, layer.ln1_gain, layer.ln1_bias)
+        h1, ln1_cache = _ln_forward(x[..., :a.shape[-2], :] + a, layer.ln1_gain,
+                                    layer.ln1_bias)
         ff_pre = h1 @ layer.ff_w1 + layer.ff_b1
         ff_act, ff_tanh = gelu(ff_pre)
         f = ff_act @ layer.ff_w2 + layer.ff_b2
         x, ln2_cache = _ln_forward(h1 + f, layer.ln2_gain, layer.ln2_bias)
-        blocks.append(_BlockCache(False, attn_cache, ln1_cache, h1, ff_pre, ff_act, ff_tanh,
-                                  ln2_cache))
+        blocks.append((attn_cache, ln1_cache, h1, ff_pre, ff_act, ff_tanh, ln2_cache))
 
-    logits = x[0:1] @ params.head_w + params.head_b
+    logits = x[..., 0:1, :] @ params.head_w + params.head_b
     return logits, TaskCache(params, tokens, blocks, x)
 
 
 def task_backward(cache: TaskCache, dlogits: np.ndarray, grads: TaskModelParams) -> None:
     """Gradients of <dlogits, logits> for every parameter, added into grads,
-    a caller-owned tree shaped like the parameters (a batch sums its items
-    into one buffer this way). Dropped attention units and skipped blocks
-    contribute nothing."""
+    a caller-owned tree shaped like the parameters, one sequence after
+    another (a batch sums its items into one buffer this way, in the same
+    order however it is cut into stacks). dlogits is shaped like the
+    logits. Dropped attention units and skipped blocks contribute nothing."""
     params = cache.params
     dlogits = np.asarray(dlogits, dtype=np.float64)
-    if dlogits.shape != (1, params.config.num_classes):
-        raise ShapeError(f"dlogits must be 1x{params.config.num_classes}")
+    want = cache.x_final.shape[:-2] + (1, params.config.num_classes)
+    if dlogits.shape != want:
+        raise ShapeError(f"dlogits must be {want}, got {dlogits.shape}")
 
-    grads.head_w += cache.x_final[0:1].T @ dlogits
-    grads.head_b += dlogits[0]
+    ptree.add_items(grads.head_w, cache.x_final[..., 0:1, :].swapaxes(-1, -2) @ dlogits)
+    ptree.add_items(grads.head_b, dlogits[..., 0, :])
 
-    length = cache.tokens.size
+    length = cache.tokens.shape[-1]
     dx = np.zeros_like(cache.x_final)
-    dx[0] = (dlogits @ params.head_w.T)[0]
+    dx[..., 0, :] = (dlogits @ params.head_w.T)[..., 0, :]
 
     for layer, glayer, block in zip(
         reversed(params.layers), reversed(grads.layers), reversed(cache.blocks)
     ):
-        if block.skipped:
+        if block is None:
             continue
-        dr2, dg2, db2 = _ln_backward(block.ln2_cache, layer.ln2_gain, dx)
-        glayer.ln2_gain += dg2
-        glayer.ln2_bias += db2
-        df = dr2
-        glayer.ff_w2 += block.ff_act.T @ df
-        glayer.ff_b2 += df.sum(axis=0)
-        dact = df @ layer.ff_w2.T
-        dpre = dact * gelu_grad(block.ff_pre, block.ff_tanh)
-        glayer.ff_w1 += block.h1.T @ dpre
-        glayer.ff_b1 += dpre.sum(axis=0)
-        dh1 = dr2 + dpre @ layer.ff_w1.T
-        dr1, dg1, db1 = _ln_backward(block.ln1_cache, layer.ln1_gain, dh1)
-        glayer.ln1_gain += dg1
-        glayer.ln1_bias += db1
-        dx = attn_backward(block.attn_cache, dr1, glayer.attn)
-        dx[:dr1.shape[0]] += dr1
+        dr1 = _sublayer_backward(layer, glayer, block, dx)
+        dx = attn_backward(block[0], dr1, glayer.attn)
+        dx[..., :dr1.shape[-2], :] += dr1
 
     # Repeated tokens are summed within the sequence first, in sequence
     # order (the one-hot V x L product's sum over L), so each row of the
     # batch buffer takes one addition per sequence: scattering straight into
     # it would reorder the float additions.
-    onehot = cache.tokens == np.arange(params.config.vocab_size)[:, None]
-    grads.token_embedding += onehot.astype(np.float64) @ dx
-    grads.position_embedding[:length] += dx
+    onehot = cache.tokens[..., None, :] == np.arange(params.config.vocab_size)[:, None]
+    ptree.add_items(grads.token_embedding, onehot.astype(np.float64) @ dx)
+    ptree.add_items(grads.position_embedding[:length], dx)
+
+
+def _sublayer_backward(layer: LayerParams, glayer: LayerParams, block, dx):
+    """Gradient on a block's first residual sum (attention output plus its
+    input), given the gradient on the block's output; the layer-norm and
+    feed-forward gradients are added into glayer. Its temporaries are freed
+    before the attention backward runs."""
+    _, ln1_cache, h1, ff_pre, ff_act, ff_tanh, ln2_cache = block
+    dr2, dg2, db2 = _ln_backward(ln2_cache, layer.ln2_gain, dx)
+    ptree.add_items(glayer.ln2_gain, dg2)
+    ptree.add_items(glayer.ln2_bias, db2)
+    ptree.add_items(glayer.ff_w2, ff_act.swapaxes(-1, -2) @ dr2)
+    ptree.add_items(glayer.ff_b2, dr2.sum(axis=-2))
+    dpre = gelu_grad(ff_pre, ff_tanh)
+    dpre *= dr2 @ layer.ff_w2.T
+    ptree.add_items(glayer.ff_w1, h1.swapaxes(-1, -2) @ dpre)
+    ptree.add_items(glayer.ff_b1, dpre.sum(axis=-2))
+    dh1 = dr2 + dpre @ layer.ff_w1.T
+    dr1, dg1, db1 = _ln_backward(ln1_cache, layer.ln1_gain, dh1)
+    ptree.add_items(glayer.ln1_gain, dg1)
+    ptree.add_items(glayer.ln1_bias, db1)
+    return dr1
 
 
 # ---------------------------------------------------------------------------

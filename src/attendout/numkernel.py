@@ -184,11 +184,14 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def cross_entropy_logits(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
+def cross_entropy_logits(logits: np.ndarray, labels,
+                         batch: int | None = None) -> tuple[float, np.ndarray]:
     """Mean negative log-likelihood of the true class, plus d(loss)/d(logits).
 
     dlogits is (softmax - onehot) / batch, so summing per-example backward
-    passes yields the batch-mean gradient with no extra scaling.
+    passes yields the batch-mean gradient with no extra scaling. batch
+    defaults to the number of rows; a chunk of a larger batch passes the
+    batch's size, and each row's dlogits depends on that row alone.
     """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -207,7 +210,7 @@ def cross_entropy_logits(logits: np.ndarray, labels) -> tuple[float, np.ndarray]
     loss = float(np.mean(lse - logits[np.arange(n), labels]))
     probs = e / z
     probs[np.arange(n), labels] -= 1.0
-    return loss, probs / n
+    return loss, probs / (n if batch is None else batch)
 
 
 def log_sigmoid(x):

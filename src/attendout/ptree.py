@@ -78,6 +78,15 @@ def add_scaled(target, source, scale: float = 1.0) -> None:
     target.flat += scale * source.flat
 
 
+def add_items(acc: np.ndarray, items: np.ndarray) -> None:
+    """acc += items[0]; acc += items[1]; ... in item order, for a stack of
+    per-item terms shaped (..., *acc.shape), or one term shaped like acc.
+    Gradients of a batch's items reach their buffer this way, so the sums
+    are the same however the batch is cut into chunks."""
+    for item in items.reshape((-1,) + acc.shape):
+        acc += item
+
+
 def flatten(tree) -> np.ndarray:
     return tree.flat.copy()
 

@@ -15,6 +15,9 @@ buffers are made once: its optimizer state owns its gradient tree and
 moments, a batch clears the tree and sums into it, and the re-sync copies
 the source's parameters and moments into the other side.
 
+A step and an evaluation run their rows through the model in stacked
+chunks; the chunk size changes speed and memory, never a bit of a result.
+
 All randomness flows through named counter-based streams, so two runs with
 the same config and seed produce byte-identical metrics.
 """
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ptree, tasks
-from .attention import MaskMatrix
+from .attention import MaskMatrix, MaskStack
 from .config import (
     METHOD_ATTENDOUT,
     METHOD_ATTN_LAYERDROP,
@@ -183,14 +186,31 @@ class BatchStream:
 # ---------------------------------------------------------------------------
 
 
+# A chunk of rows runs through the model as one (rows, L, d_model) stack.
+# Stacking saves numpy's per-call overhead, but a chunk's caches and
+# temporaries grow with its rows. CHUNK_FLOATS bounds rows * L * (d_model +
+# heads * L), a chunk's floats of activations and attention scores per
+# layer: at the shipped shape 4 rows keep a step's peak memory below that
+# of one row at a time, and 8 rows do not (CHANGES.md has the measurements).
+CHUNK_FLOATS = 2 ** 12
+
+
+def chunk_rows(config: ModelConfig, length: int) -> int:
+    """Rows per stacked chunk for sequences of this length."""
+    return max(1, CHUNK_FLOATS // (length * (config.d_model + config.num_heads * length)))
+
+
 def evaluate(params: TaskModelParams, samples: tasks.Dataset) -> float:
-    """Clean-forward accuracy (no masks ever apply at evaluation)."""
+    """Clean-forward accuracy (no masks ever apply at evaluation), one
+    stacked forward per chunk of rows."""
     if not len(samples):
         raise ContractViolation("evaluation needs at least one sample")
+    rows = chunk_rows(params.config, samples.tokens.shape[1])
     correct = 0
-    for tokens, label in zip(samples.tokens, samples.labels):
-        logits, _ = task_forward(params, tokens)
-        correct += int(np.argmax(logits[0]) == label)
+    for start in range(0, len(samples), rows):
+        logits = task_forward(params, samples.tokens[start:start + rows])[0]
+        predicted = np.argmax(logits[:, 0], axis=1)
+        correct += int(np.count_nonzero(predicted == samples.labels[start:start + rows]))
     return correct / len(samples)
 
 
@@ -215,25 +235,33 @@ def sync_models(defender: TaskModelParams, attacker: TaskModelParams,
 
 
 def _update_on_batch(params, batch, lr, opt_state, item_masks=None, skip_blocks=None):
-    """Forward the batch (a Dataset) one sequence at a time, item i under the layer
-    masks item_masks[i] and every item under skip_blocks; average the loss,
-    sum every item's gradient into opt_state's cleared gradient tree and
-    apply one optimizer step. Returns the loss; a non-finite loss raises
+    """One optimizer step on the batch (a Dataset), item i under the layer
+    masks item_masks[i] and every item under skip_blocks.
+
+    Each chunk of chunk_rows rows takes one stacked forward, its rows'
+    dlogits ((softmax - onehot) / batch size, which depends on the row
+    alone) and one backward into opt_state's cleared gradient tree, which
+    takes the items in item order; its caches are freed before the next
+    chunk runs. Returns the mean loss; a non-finite loss raises
     DivergenceError before the step."""
-    item_masks = [None] * len(batch) if item_masks is None else item_masks
-    logits_rows = []
-    caches = []
-    for tokens, layer_masks in zip(batch.tokens, item_masks):
-        logits, cache = task_forward(params, tokens, layer_masks, skip_blocks)
-        logits_rows.append(logits[0])
-        caches.append(cache)
-    loss, dlogits = cross_entropy_logits(np.stack(logits_rows), batch.labels)
-    if not np.isfinite(loss):
-        raise DivergenceError(f"non-finite batch loss {loss}")
+    n = len(batch)
+    rows = chunk_rows(params.config, batch.tokens.shape[1])
     grads = opt_state.grads
     grads.flat.fill(0.0)
-    for i, cache in enumerate(caches):
-        task_backward(cache, dlogits[i:i + 1], grads)
+    logits = np.empty((n, params.config.num_classes))
+    for start in range(0, n, rows):
+        chunk = slice(start, start + rows)
+        masks = None if item_masks is None else [
+            MaskStack.stack([item[layer] for item in item_masks[chunk]])
+            for layer in range(params.num_layers)]
+        chunk_logits, cache = task_forward(params, batch.tokens[chunk], masks, skip_blocks)
+        logits[chunk] = chunk_logits[:, 0]
+        _, dlogits = cross_entropy_logits(logits[chunk], batch.labels[chunk], n)
+        task_backward(cache, dlogits[:, None], grads)
+        del cache
+    loss, _ = cross_entropy_logits(logits, batch.labels)
+    if not np.isfinite(loss):
+        raise DivergenceError(f"non-finite batch loss {loss}")
     optimizer_step(params, grads, lr, opt_state)
     return loss
 

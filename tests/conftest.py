@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -243,6 +245,289 @@ def gen_majority_token_reference(n: int, seq_len: int, vocab_size: int, seed: in
 
 
 # ---------------------------------------------------------------------------
+# Per-sequence path: the model as it ran before it took stacks, one token
+# sequence (one L x d_model attention input) per call, with the folded last
+# block, and the trainer's step and evaluate looping over rows. The stacked
+# models.task_forward / task_backward, attention on a stack under a
+# MaskStack, and the trainer's chunked step and evaluate must match it bit
+# for bit, for any chunk size.
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class SequenceAttentionCache:
+    """Forward intermediates of one sequence's attention; q query rows of L."""
+
+    mask: object
+    params: AttentionParams
+    x: np.ndarray
+    pre: np.ndarray
+    qh: np.ndarray | None = None
+    kh: np.ndarray | None = None
+    vh: np.ndarray | None = None
+    scores: np.ndarray | None = None
+    attn: np.ndarray | None = None
+    attn_used: np.ndarray | None = None
+    q_blocks: np.ndarray | None = None
+    qk: np.ndarray | None = None
+    ax: np.ndarray | None = None
+
+
+def _split_heads_sequence(m, num_heads):
+    length, d = m.shape
+    return m.reshape(length, num_heads, d // num_heads).transpose(1, 0, 2)
+
+
+def _merge_heads_sequence(t):
+    num_heads, length, d_k = t.shape
+    return t.transpose(1, 0, 2).reshape(length, num_heads * d_k)
+
+
+def _block_diagonal_sequence(m, num_heads):
+    rows, width = m.shape
+    cols = width // num_heads
+    out = np.zeros((num_heads * rows, width))
+    for h in range(num_heads):
+        out[h * rows:(h + 1) * rows, h * cols:(h + 1) * cols] = m[:, h * cols:(h + 1) * cols]
+    return out
+
+
+def _diagonal_blocks_sequence(m, num_heads):
+    rows, width = m.shape[0] // num_heads, m.shape[1]
+    cols = width // num_heads
+    out = np.empty((rows, width))
+    for h in range(num_heads):
+        out[:, h * cols:(h + 1) * cols] = m[h * rows:(h + 1) * rows, h * cols:(h + 1) * cols]
+    return out
+
+
+def constant_attention_sequence(v):
+    return np.tile(v.mean(axis=0), (v.shape[0], 1))
+
+
+def attn_forward_sequence(x, params, mask=None, queries=None):
+    from attendout.attention import MaskMode
+    from attendout.numkernel import NEG_INF, softmax_rows
+
+    length = x.shape[0]
+    q = length if queries is None else queries
+    mode, drop = (None, None) if mask is None else (mask.mode, mask.drop)
+    if mode is MaskMode.ALL_DROPPED:
+        pre = constant_attention_sequence(x @ params.w_v)[:q]
+        return pre @ params.w_o, SequenceAttentionCache(mask, params, x, pre)
+    num_heads, d_k = params.num_heads, params.d_k
+    folded = q < length
+    if folded:
+        q_blocks = _block_diagonal_sequence(x[:q] @ params.w_q, num_heads)
+        qk = q_blocks @ params.w_k.T
+        scores = (qk @ x.T / np.sqrt(d_k)).reshape(num_heads, q, length)
+    else:
+        qh = _split_heads_sequence(x @ params.w_q, num_heads)
+        kh = _split_heads_sequence(x @ params.w_k, num_heads)
+        vh = _split_heads_sequence(x @ params.w_v, num_heads)
+        scores = qh @ kh.transpose(0, 2, 1) / np.sqrt(d_k)
+    if mode is MaskMode.SCORES:
+        scores = np.where(drop[:q], NEG_INF, scores)
+    attn = softmax_rows(scores.reshape(num_heads * q, length)).reshape(num_heads, q, length)
+    attn_used = None
+    if mode is MaskMode.WEIGHTS:
+        attn_used = np.where(drop[:q], 0.0, attn)
+        if mask.rescale is not None:
+            attn_used *= mask.rescale
+    weights = attn if attn_used is None else attn_used
+    if folded:
+        ax = weights.reshape(num_heads * q, length) @ x
+        pre = _diagonal_blocks_sequence(ax @ params.w_v, num_heads)
+        cache = SequenceAttentionCache(mask, params, x, pre, scores=scores, attn=attn,
+                                       attn_used=attn_used, q_blocks=q_blocks, qk=qk, ax=ax)
+    else:
+        pre = _merge_heads_sequence(weights @ vh)
+        cache = SequenceAttentionCache(mask, params, x, pre, qh=qh, kh=kh, vh=vh,
+                                       scores=scores, attn=attn, attn_used=attn_used)
+    return pre @ params.w_o, cache
+
+
+def attn_backward_sequence(cache, dy, grads):
+    from attendout.attention import MaskMode
+
+    params, mask = cache.params, cache.mask
+    length = cache.x.shape[0]
+    q = cache.pre.shape[0]
+    mode = None if mask is None else mask.mode
+    if mode is MaskMode.ALL_DROPPED:
+        dpre = dy @ params.w_o.T
+        grads.w_o += cache.pre.T @ dy
+        dv = np.tile(dpre.sum(axis=0) / length, (length, 1))
+        grads.w_v += cache.x.T @ dv
+        return dv @ params.w_v.T
+    num_heads, d_k = params.num_heads, params.d_k
+    dpre = dy @ params.w_o.T
+    grads.w_o += cache.pre.T @ dy
+    attn_used = cache.attn_used if cache.attn_used is not None else cache.attn
+    folded = cache.qk is not None
+    if folded:
+        dm = _block_diagonal_sequence(dpre, num_heads)
+        grads.w_v += cache.ax.T @ dm
+        dax = dm @ params.w_v.T
+        d_attn_used = (dax @ cache.x.T).reshape(num_heads, q, length)
+        dx_v = attn_used.reshape(num_heads * q, length).T @ dax
+    else:
+        dout_h = _split_heads_sequence(dpre, num_heads)
+        d_attn_used = dout_h @ cache.vh.transpose(0, 2, 1)
+        dvh = attn_used.transpose(0, 2, 1) @ dout_h
+    d_attn = d_attn_used
+    if mode is MaskMode.WEIGHTS:
+        d_attn = np.where(mask.drop[:q], 0.0, d_attn_used)
+        if mask.rescale is not None:
+            d_attn *= mask.rescale
+    attn = cache.attn
+    dscores = attn * (d_attn - (d_attn * attn).sum(axis=2, keepdims=True))
+    dscores = dscores / np.sqrt(d_k)
+    if folded:
+        ds = dscores.reshape(num_heads * q, length)
+        dqk = ds @ cache.x
+        grads.w_k += dqk.T @ cache.q_blocks
+        dq = _diagonal_blocks_sequence(dqk @ params.w_k, num_heads)
+        grads.w_q += cache.x[:q].T @ dq
+        dx = ds.T @ cache.qk
+        dx[:q] += dq @ params.w_q.T
+        dx += dx_v
+        return dx
+    dq = _merge_heads_sequence(dscores @ cache.kh)
+    dk = _merge_heads_sequence(dscores.transpose(0, 2, 1) @ cache.qh)
+    dv = _merge_heads_sequence(dvh)
+    grads.w_q += cache.x[:q].T @ dq
+    grads.w_k += cache.x.T @ dk
+    grads.w_v += cache.x.T @ dv
+    dx = dk @ params.w_k.T
+    dx[:q] += dq @ params.w_q.T
+    dx += dv @ params.w_v.T
+    return dx
+
+
+def _ln_forward_sequence(x, gain, bias):
+    from attendout.models import LN_EPS
+
+    d = x.shape[1]
+    xc = x - x.sum(axis=1, keepdims=True) / d
+    var = (xc * xc).sum(axis=1, keepdims=True) / d
+    inv_std = 1.0 / np.sqrt(var + LN_EPS)
+    x_hat = xc * inv_std
+    return gain * x_hat + bias, (x_hat, inv_std)
+
+
+def _ln_backward_sequence(cache, gain, dy):
+    x_hat, inv_std = cache
+    dx_hat = dy * gain
+    d = dy.shape[1]
+    dx = inv_std * (
+        dx_hat
+        - dx_hat.sum(axis=1, keepdims=True) / d
+        - x_hat * ((dx_hat * x_hat).sum(axis=1, keepdims=True) / d)
+    )
+    return dx, (dy * x_hat).sum(axis=0), dy.sum(axis=0)
+
+
+def task_forward_sequence(params, tokens, layer_masks=None, skip_blocks=None,
+                          full_rows=False):
+    """One sequence's (1 x C logits, cache): blocks is a per-block list of
+    (attention cache, ln1, h1, ff_pre, ff_act, ff_tanh, ln2), None for a
+    skipped block. With full_rows every block computes every query row,
+    through attn_forward_reference, instead of folding the last block."""
+    from attendout.numkernel import gelu
+
+    tokens = np.asarray(tokens, dtype=np.int64)
+    n = params.num_layers
+    layer_masks = [None] * n if layer_masks is None else layer_masks
+    skips = np.zeros(n, dtype=bool) if skip_blocks is None else np.asarray(skip_blocks, bool)
+    last = max((i for i in range(n) if not skips[i]), default=-1)
+    x = params.token_embedding[tokens] + params.position_embedding[:tokens.size]
+    blocks = []
+    for i, (layer, mask, skip) in enumerate(zip(params.layers, layer_masks, skips)):
+        if skip:
+            blocks.append(None)
+            continue
+        if full_rows:
+            a, attn_cache = attn_forward_reference(x, layer.attn, mask)
+        else:
+            a, attn_cache = attn_forward_sequence(x, layer.attn, mask,
+                                                  queries=1 if i == last else None)
+        h1, ln1 = _ln_forward_sequence(x[:a.shape[0]] + a, layer.ln1_gain, layer.ln1_bias)
+        ff_pre = h1 @ layer.ff_w1 + layer.ff_b1
+        ff_act, ff_tanh = gelu(ff_pre)
+        f = ff_act @ layer.ff_w2 + layer.ff_b2
+        x, ln2 = _ln_forward_sequence(h1 + f, layer.ln2_gain, layer.ln2_bias)
+        blocks.append((attn_cache, ln1, h1, ff_pre, ff_act, ff_tanh, ln2))
+    logits = x[0:1] @ params.head_w + params.head_b
+    return logits, (params, tokens, blocks, x, full_rows)
+
+
+def task_backward_sequence(cache, dlogits, grads):
+    from attendout.numkernel import gelu_grad
+
+    params, tokens, blocks, x_final, full_rows = cache
+    grads.head_w += x_final[0:1].T @ dlogits
+    grads.head_b += dlogits[0]
+    dx = np.zeros_like(x_final)
+    dx[0] = (dlogits @ params.head_w.T)[0]
+    backward = attn_backward_reference if full_rows else attn_backward_sequence
+    for layer, glayer, block in zip(reversed(params.layers), reversed(grads.layers),
+                                    reversed(blocks)):
+        if block is None:
+            continue
+        attn_cache, ln1, h1, ff_pre, ff_act, ff_tanh, ln2 = block
+        dr2, dg2, db2 = _ln_backward_sequence(ln2, layer.ln2_gain, dx)
+        glayer.ln2_gain += dg2
+        glayer.ln2_bias += db2
+        glayer.ff_w2 += ff_act.T @ dr2
+        glayer.ff_b2 += dr2.sum(axis=0)
+        dpre = (dr2 @ layer.ff_w2.T) * gelu_grad(ff_pre, ff_tanh)
+        glayer.ff_w1 += h1.T @ dpre
+        glayer.ff_b1 += dpre.sum(axis=0)
+        dr1, dg1, db1 = _ln_backward_sequence(ln1, layer.ln1_gain, dr2 + dpre @ layer.ff_w1.T)
+        glayer.ln1_gain += dg1
+        glayer.ln1_bias += db1
+        dx = backward(attn_cache, dr1, glayer.attn)
+        dx[:dr1.shape[0]] += dr1
+    onehot = tokens == np.arange(params.config.vocab_size)[:, None]
+    grads.token_embedding += onehot.astype(np.float64) @ dx
+    grads.position_embedding[:tokens.size] += dx
+
+
+def update_on_batch_sequence(params, batch, lr, opt_state, item_masks=None, skip_blocks=None,
+                             full_rows=False):
+    """The trainer's step one row at a time: every forward, the batch loss,
+    then every row's backward into the cleared tree in row order."""
+    from attendout import trainer
+    from attendout.numkernel import DivergenceError, cross_entropy_logits
+
+    item_masks = [None] * len(batch) if item_masks is None else item_masks
+    logits_rows, caches = [], []
+    for tokens, layer_masks in zip(batch.tokens, item_masks):
+        logits, cache = task_forward_sequence(params, tokens, layer_masks, skip_blocks,
+                                              full_rows)
+        logits_rows.append(logits[0])
+        caches.append(cache)
+    loss, dlogits = cross_entropy_logits(np.stack(logits_rows), batch.labels)
+    if not np.isfinite(loss):
+        raise DivergenceError(f"non-finite batch loss {loss}")
+    grads = opt_state.grads
+    grads.flat.fill(0.0)
+    for i, cache in enumerate(caches):
+        task_backward_sequence(cache, dlogits[i:i + 1], grads)
+    trainer.optimizer_step(params, grads, lr, opt_state)
+    return loss
+
+
+def evaluate_sequence(params, samples, full_rows=False):
+    correct = 0
+    for tokens, label in zip(samples.tokens, samples.labels):
+        logits, _ = task_forward_sequence(params, tokens, full_rows=full_rows)
+        correct += int(np.argmax(logits[0]) == label)
+    return correct / len(samples)
+
+
+# ---------------------------------------------------------------------------
 # Full-row references: attention and the task model computing every query
 # row of every block, with layer-norm row means taken by np.mean. The
 # pruned last block of models.task_forward must match them to 1e-12.
@@ -275,20 +560,19 @@ def _merge_heads_reference(t):
 
 
 def attn_forward_reference(x, params, mask=None, queries=None):
-    from attendout.attention import (
-        AttentionCache, MaskMode, _block_diagonal, _diagonal_blocks, constant_attention)
+    from attendout.attention import MaskMode
     from attendout.numkernel import softmax_rows
 
     length = x.shape[0]
     q = length if queries is None else queries
     mode = None if mask is None else mask.mode
     if mode is MaskMode.ALL_DROPPED:
-        pre = constant_attention(x @ params.w_v)[:q]
-        return pre @ params.w_o, AttentionCache(mask, params, x, pre)
+        pre = constant_attention_sequence(x @ params.w_v)[:q]
+        return pre @ params.w_o, SequenceAttentionCache(mask, params, x, pre)
     entries = None if mode is None else mask_entries_reference(mask)[None, :q, :]
     num_heads, d_k = params.num_heads, params.d_k
     if q < length:
-        q_blocks = _block_diagonal(x[:q] @ params.w_q, num_heads)
+        q_blocks = _block_diagonal_sequence(x[:q] @ params.w_q, num_heads)
         qk = q_blocks @ params.w_k.T
         scores = (qk @ x.T / np.sqrt(d_k)).reshape(num_heads, q, length)
     else:
@@ -307,17 +591,18 @@ def attn_forward_reference(x, params, mask=None, queries=None):
     weights = attn if attn_used is None else attn_used
     if q < length:
         ax = weights.reshape(num_heads * q, length) @ x
-        pre = _diagonal_blocks(ax @ params.w_v, num_heads)
-        return pre @ params.w_o, AttentionCache(
+        pre = _diagonal_blocks_sequence(ax @ params.w_v, num_heads)
+        return pre @ params.w_o, SequenceAttentionCache(
             mask, params, x, pre, scores=scores, attn=attn, attn_used=attn_used,
             q_blocks=q_blocks, qk=qk, ax=ax)
     pre = _merge_heads_reference(weights @ vh)
-    return pre @ params.w_o, AttentionCache(mask, params, x, pre, qh=qh, kh=kh, vh=vh,
-                                            scores=scores, attn=attn, attn_used=attn_used)
+    return pre @ params.w_o, SequenceAttentionCache(mask, params, x, pre, qh=qh, kh=kh, vh=vh,
+                                                    scores=scores, attn=attn,
+                                                    attn_used=attn_used)
 
 
 def attn_backward_reference(cache, dy, grads):
-    from attendout.attention import MaskMode, _block_diagonal, _diagonal_blocks
+    from attendout.attention import MaskMode
 
     params, mask = cache.params, cache.mask
     length = cache.x.shape[0]
@@ -332,7 +617,7 @@ def attn_backward_reference(cache, dy, grads):
         return dv @ params.w_v.T
     attn_used = cache.attn_used if cache.attn_used is not None else cache.attn
     if cache.qk is not None:
-        dm = _block_diagonal(dpre, num_heads)
+        dm = _block_diagonal_sequence(dpre, num_heads)
         grads.w_v += cache.ax.T @ dm
         dax = dm @ params.w_v.T
         d_attn = (dax @ cache.x.T).reshape(num_heads, q, length)
@@ -351,7 +636,7 @@ def attn_backward_reference(cache, dy, grads):
         ds = dscores.reshape(num_heads * q, length)
         dqk = ds @ cache.x
         grads.w_k += dqk.T @ cache.q_blocks
-        dq = _diagonal_blocks(dqk @ params.w_k, num_heads)
+        dq = _diagonal_blocks_sequence(dqk @ params.w_k, num_heads)
         grads.w_q += cache.x[:q].T @ dq
         dx = ds.T @ cache.qk
         dx[:q] += dq @ params.w_q.T
@@ -503,16 +788,19 @@ def gnet_logprob_backward_reference(gparams, tokens, decision, grads):
 
 # ---------------------------------------------------------------------------
 # Trajectory: one config trained on the current path and again with the
-# kept references patched in (full-row attention in every model, the
-# per-layer generator), compared step by step, so a float-order change
-# shows as drift and a bug as a new outcome.
+# kept references patched in (the per-sequence path with full-row attention
+# in every model, the per-layer generator), compared step by step, so a
+# float-order change shows as drift and a bug as a new outcome.
 # ---------------------------------------------------------------------------
 
 
 def run_trajectory(cfg, reference: bool):
     """Train cfg; returns (metrics rows, sync sources, dev accuracy). With
-    reference every block of every model computes every query row, and the
-    generator samples and differentiates its decisions layer by layer."""
+    reference every model runs one sequence at a time with every query row
+    of every block computed, and the generator samples and differentiates
+    its decisions layer by layer."""
+    import functools
+
     from attendout import policygrad, trainer
 
     sources = []
@@ -522,19 +810,12 @@ def run_trajectory(cfg, reference: bool):
         sources.append(sync(*args))
         return sources[-1]
 
-    backward = models.attn_backward
-
-    def full_row_backward(cache, dy, grads, dscores_extra=None):
-        if dscores_extra is not None:  # the generator: every row is computed there
-            return backward(cache, dy, grads, dscores_extra)
-        return attn_backward_reference(cache, dy, grads)
-
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(trainer, "sync_models", recording_sync)
         if reference:
-            patch.setattr(models, "attn_forward", lambda x, params, mask=None, queries=None:
-                          attn_forward_reference(x, params, mask))
-            patch.setattr(models, "attn_backward", full_row_backward)
+            patch.setattr(trainer, "_update_on_batch",
+                          functools.partial(update_on_batch_sequence, full_rows=True))
+            patch.setattr(trainer, "evaluate", functools.partial(evaluate_sequence, full_rows=True))
             patch.setattr(trainer, "gnet_sample_masks", gnet_sample_masks_reference)
             patch.setattr(policygrad, "gnet_logprob_backward", gnet_logprob_backward_reference)
         result = trainer.train(cfg)

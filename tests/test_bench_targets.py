@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from attendout import cli, tasks, trainer
-from attendout.config import parse_config_text
+from attendout.config import model_config, parse_config_text
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS_PATH = ROOT / "perfbench" / "spans.py"
@@ -174,18 +174,23 @@ def test_traced_run_metrics_are_strict_json(tmp_path, method, section):
     json.dumps(pooled, allow_nan=False)
 
 
+def _chunks(rows_total, rows):
+    return -(-rows_total // rows)
+
+
 @pytest.mark.parametrize("method,section", [
     ("none", ""),
     ("vanilla", "p = 0.1\nmode = scores\n"),
     ("attendout", "dropout_step = 2\ngnet_lr = 0.3\n"),
 ], ids=["none", "vanilla", "attendout"])
-def test_one_forward_and_backward_span_per_sequence(method, section):
-    # A traced job reports the 99th percentile of task_forward and
-    # task_backward only from spans.MIN_PERCENTILE_SAMPLES calls up, and a
-    # short traced `wide` run holds one job of about 2,000 of them: called
-    # once per batch instead of once per sequence, they would report null
-    # and the traced run would be refused. A change that batches them has
-    # to move these hooks in the benchmark first, and this test with it.
+def test_one_forward_and_backward_span_per_chunk(method, section):
+    # A batch and an evaluation draw run through the model in stacked
+    # chunks of trainer.chunk_rows rows: one task_forward span per chunk,
+    # one task_backward span per training chunk, while trainer.evaluate
+    # still counts sequences. A traced job reports the 99th percentile of
+    # task_forward and task_backward from spans.MIN_PERCENTILE_SAMPLES calls
+    # up, pooled over the run's traced jobs, so a change to the chunk rule
+    # moves how many samples a traced run pools.
     cfg = parse_config_text(TINY.format(method=method).replace("\n[none]\n", "\n") + section)
     spans = _load_spans()
     rec = spans.Recorder("t")
@@ -199,12 +204,17 @@ def test_one_forward_and_backward_span_per_sequence(method, section):
     full = tasks.gen_majority_token(cfg.data_n, cfg.seq_len, cfg.vocab, cfg.seed)
     fractions = (cfg.train_fraction, cfg.dev_fraction, cfg.test_fraction)
     train_ds, dev_ds, _ = tasks.split(full, fractions, cfg.seed)
+    rows = trainer.chunk_rows(model_config(cfg), cfg.seq_len)
     models = 2 if method == "attendout" else 1  # defender and attacker
-    trained = models * cfg.epochs * len(train_ds)
+    batches = [min(cfg.batch_size, len(train_ds) - start)
+               for start in range(0, len(train_ds), cfg.batch_size)]
+    trained = models * cfg.epochs * sum(_chunks(b, rows) for b in batches)
     evaluated = models * len(dev_ds)
+    evaluated_chunks = models * _chunks(len(dev_ds), rows)
     if method == "attendout":
         assert result.extra["g_updates"] > 0
         evaluated += models * cfg.dropout_step * result.extra["g_updates"]
+        evaluated_chunks += models * _chunks(cfg.dropout_step, rows) * result.extra["g_updates"]
     assert rec.counters["trainer.evaluate.samples"] == evaluated
-    assert calls["models.task_forward"] == trained + evaluated
+    assert calls["models.task_forward"] == trained + evaluated_chunks
     assert calls["models.task_backward"] == trained

@@ -173,14 +173,14 @@ def test_pruned_last_block_matches_full_rows_under_each_mask(kind, heads):
 def test_skipped_last_block_moves_pruning_to_block_zero():
     masks = [_mask("weights_rescale", 6, 73), _mask("scores", 6, 74), None]
     cache = _check_task_model(3, 6, 2, masks, np.array([0, 1, 1]))
-    assert cache.blocks[0].attn_cache.pre.shape == (1, 8)
+    assert cache.blocks[0][0].pre.shape == (1, 8)
     assert cache.x_final.shape == (1, 8)
 
 
 def test_inner_skip_prunes_the_last_block_only():
     cache = _check_task_model(3, 6, 2, skip_blocks=np.array([0, 1, 0]))
-    assert cache.blocks[0].attn_cache.pre.shape == (6, 8)
-    assert cache.blocks[2].attn_cache.pre.shape == (1, 8)
+    assert cache.blocks[0][0].pre.shape == (6, 8)
+    assert cache.blocks[2][0].pre.shape == (1, 8)
 
 
 def test_all_blocks_skipped_keeps_every_row():

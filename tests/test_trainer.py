@@ -216,7 +216,7 @@ def test_update_on_batch_rejects_nonfinite_loss_before_the_step(monkeypatch, bad
     before = params.flat.copy()
     state = optimizer_state(params, "adam")
 
-    def nonfinite_loss(logits, labels):
+    def nonfinite_loss(logits, labels, batch=None):
         return bad, np.full(logits.shape, 0.1)
     monkeypatch.setattr(trainer, "cross_entropy_logits", nonfinite_loss)
     with pytest.raises(DivergenceError, match="non-finite batch loss"):
