@@ -125,19 +125,12 @@ class GeneratorParams(ptree.ParamTree):
 
 @dataclass
 class MaskDecision:
-    """Sampled drop masks of every layer for one sample.
-
-    masks is one (N, L, L) uint8 array with 1 = drop; masks[i] is layer i's
-    L x L bits. logprob is the mean per-unit log probability of the sampled
-    bits, i.e. already carries the 1 / (N * L^2) normalization the
-    policy-gradient update expects. layer_drop_fraction and layer_mean_prob
-    are diagnostics: realized drop rate and mean sigmoid drop probability
-    per layer.
-    """
+    """Sampled drop masks of every layer: masks is one (..., N, L, L) uint8
+    array, 1 = drop, with the tokens' leading axes, and masks[..., i, :, :]
+    is layer i's L x L bits; layer_mean_prob (..., N), a diagnostic, is each
+    layer's mean sigmoid drop probability."""
 
     masks: np.ndarray
-    logprob: float
-    layer_drop_fraction: np.ndarray
     layer_mean_prob: np.ndarray
 
 
@@ -369,12 +362,13 @@ def _sublayer_backward(layer: LayerParams, glayer: LayerParams, block, dx):
 
 
 def gnet_scores(gparams: GeneratorParams, tokens, num_layers: int):
-    """Pre-softmax scores of every layer decision as one (N, L, L) array,
-    plus the per-layer forward caches. Scores depend only on (params,
-    tokens), never on sampled bits."""
+    """Pre-softmax scores of every layer decision, (..., N, L, L) for tokens
+    (..., L), one sequence or a stack, plus the per-layer forward caches.
+    Scores depend only on (params, tokens), never on sampled bits, and each
+    sequence of a stack gets the bits it would get alone."""
     tokens = np.asarray(tokens, dtype=np.int64)
-    if tokens.ndim != 1 or tokens.size < 1:
-        raise ShapeError(f"tokens must be a nonempty 1-D sequence, got {tokens.shape}")
+    if tokens.ndim < 1 or tokens.size < 1:
+        raise ShapeError(f"tokens must be nonempty sequences, got {tokens.shape}")
     if np.any(tokens < 0) or np.any(tokens >= gparams.token_embedding.shape[0]):
         raise IndexError("token id out of range for generator vocabulary")
     h = gparams.token_embedding[tokens]
@@ -382,74 +376,58 @@ def gnet_scores(gparams: GeneratorParams, tokens, num_layers: int):
     for _ in range(num_layers):
         h, cache = attn_forward(h, gparams.attn)
         caches.append(cache)
-    return np.stack([cache.scores[0] for cache in caches]), caches, tokens
+    return np.stack([cache.scores[..., 0, :, :] for cache in caches], axis=-3), caches, tokens
 
 
 def gnet_sample_masks(gparams: GeneratorParams, tokens, num_layers: int,
                       rng: RngState) -> MaskDecision:
-    """Sample one dropout decision: unit (i, j) of layer t drops with
-    probability sigmoid(score_tij / tau), via the Gumbel-max trick, all
-    N * L^2 units in one row-major draw."""
+    """Sample the dropout decision of each sequence of tokens (..., L): unit
+    (i, j) of layer t drops with probability sigmoid(score_tij / tau), via
+    the Gumbel-max trick, all units in one row-major draw, which gives the
+    bits and counter of one call per sequence."""
     scores, _, _ = gnet_scores(gparams, tokens, num_layers)
     logits = scores / gparams.tau
-    bits = gumbel_binary_sample_array(logits, rng)
-    return MaskDecision(
-        masks=bits,
-        logprob=_normalized_logprob(scores, bits, gparams.tau),
-        layer_drop_fraction=bits.mean(axis=(1, 2)),
-        layer_mean_prob=sigmoid(logits).mean(axis=(1, 2)),
-    )
-
-
-def _normalized_logprob(scores, masks, tau: float) -> float:
-    """Mean per-unit log probability of a decision's bits under the scores."""
-    logits = np.asarray(scores) / tau
-    return float(log_sigmoid(np.where(np.asarray(masks) != 0, logits, -logits)).sum()
-                 / logits.size)
+    return MaskDecision(masks=gumbel_binary_sample_array(logits, rng),
+                        layer_mean_prob=sigmoid(logits).mean(axis=(-2, -1)))
 
 
 def decision_logprob(gparams: GeneratorParams, tokens, decision: MaskDecision) -> float:
-    """Recompute the normalized log probability of a decision's bits under
-    the current parameters."""
+    """The normalized log probability of one sequence's decision bits under
+    the current parameters: their mean per-unit log probability."""
     scores, _, _ = gnet_scores(gparams, tokens, len(decision.masks))
-    return _normalized_logprob(scores, decision.masks, gparams.tau)
+    logits = scores / gparams.tau
+    return float(log_sigmoid(np.where(decision.masks != 0, logits, -logits)).sum() / logits.size)
 
 
 def _logprob_score_grads(scores, masks, tau: float) -> np.ndarray:
     """d logprob / d score per unit: (bit - sigmoid(s/tau)) / tau, carrying
-    the 1 / (N * L^2) normalization."""
+    each decision's 1 / (N * L^2) normalization."""
     scores = np.asarray(scores)
     p = sigmoid(scores / tau)
-    return (np.asarray(masks, dtype=np.float64) - p) / (tau * scores.size)
+    return (np.asarray(masks, dtype=np.float64) - p) / (tau * np.prod(scores.shape[-3:]))
 
 
 def gnet_backward_from_score_grads(tokens, caches, dscores: np.ndarray,
                                    grads: GeneratorParams) -> None:
     """Reverse through the unrolled shared-attention stack, and into the
-    embeddings of tokens, given the (N, L, L) gradient on the pre-softmax
-    scores; the parameter gradients are added into grads, a caller-owned
-    tree shaped like the generator. The backward map is linear in the
+    embeddings of tokens (..., L), given the (..., N, L, L) gradient on the
+    pre-softmax scores; the parameter gradients are added into grads, a
+    caller-owned tree shaped like the generator with the tokens' leading
+    axes (one tree per sequence). The backward map is linear in the
     injected score gradients, which the enumeration oracle exploits."""
-    tokens_len, dim = caches[0].x.shape
-    dh = np.zeros((tokens_len, dim))
-    for cache, ds in zip(reversed(caches), dscores[::-1]):
+    dh = np.zeros(caches[0].x.shape)
+    for cache, ds in zip(reversed(caches), np.moveaxis(dscores, -3, 0)[::-1]):
         dh = attn_backward(cache, dh, grads.attn, dscores_extra=ds)
-    np.add.at(grads.token_embedding, tokens, dh)
+    np.add.at(grads.token_embedding, np.indices(tokens.shape, sparse=True)[:-1] + (tokens,), dh)
 
 
 def gnet_logprob_backward(gparams: GeneratorParams, tokens,
                           decision: MaskDecision, grads: GeneratorParams) -> None:
-    """Gradient of the decision's normalized logprob with respect to the
-    generator parameters, added into grads (a caller-owned tree shaped like
-    gparams). Raises if the decision's stored logprob no longer matches
-    these parameters (stale decision)."""
-    scores, caches, tokens = gnet_scores(gparams, tokens, len(decision.masks))
-    recomputed = _normalized_logprob(scores, decision.masks, gparams.tau)
-    if abs(recomputed - decision.logprob) > 1e-9:
-        raise ContractViolation(
-            f"stale decision: stored logprob {decision.logprob}, "
-            f"recomputed {recomputed}"
-        )
+    """Gradient of each decision's normalized log probability with respect
+    to the generator parameters, for tokens (..., L) in one stacked forward
+    and backward, added into grads' tree of its sequence: from zeroed rows,
+    each row holds the bits of one fresh tree per decision."""
+    scores, caches, tokens = gnet_scores(gparams, tokens, np.shape(decision.masks)[-3])
     dscores = _logprob_score_grads(scores, decision.masks, gparams.tau)
     gnet_backward_from_score_grads(tokens, caches, dscores, grads)
 

@@ -8,6 +8,7 @@ test suite leave no headroom for float32.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -55,6 +56,12 @@ def _splitmix64(z: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+@functools.lru_cache(maxsize=1024)
+def _stream_key(seed: int, stream: int) -> np.uint64:
+    """The word every counter of a stream is mixed with, made once per stream."""
+    return np.uint64(_splitmix64(_splitmix64(seed) ^ stream))
+
+
 def _label_hash(label) -> int:
     if isinstance(label, bool):
         raise TypeError("stream labels must be str or int")
@@ -89,8 +96,7 @@ class RngState:
         """The next n words: SplitMix64 of the stream key xor each counter."""
         counters = np.uint64(self.counter & _MASK64) + np.arange(n, dtype=np.uint64)
         self.counter = (self.counter + n) & _MASK64
-        key = _splitmix64(_splitmix64(self.seed) ^ self.stream)
-        z = (np.uint64(key) ^ counters) + np.uint64(_GOLDEN)
+        z = (_stream_key(self.seed, self.stream) ^ counters) + np.uint64(_GOLDEN)
         z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
         return z ^ (z >> np.uint64(31))

@@ -10,8 +10,9 @@ whenever b_prev is. The update itself is plain gradient ascent,
 
     theta <- theta + lr * (r - b) * sum_t grad_logprob_t
 
-over every decision sampled in the step, with each grad_logprob already
-carrying the per-unit 1 / (N * L^2) normalization.
+over every decision sampled in the window, with each grad_logprob already
+carrying the per-unit 1 / (N * L^2) normalization; each step's decisions
+take one stacked backward into per-decision rows, summed in decision order.
 """
 
 from __future__ import annotations
@@ -89,28 +90,27 @@ def update_baseline(baseline: Baseline, rewards: RewardRecord) -> Baseline:
 
 
 def reinforce_update(gparams: GeneratorParams, decisions, rewards: RewardRecord,
-                     baseline: Baseline, lr: float,
-                     buffers: tuple[GeneratorParams, GeneratorParams]) -> GeneratorParams:
+                     baseline: Baseline, lr: float, total: GeneratorParams) -> GeneratorParams:
     """Apply one score-function ascent step in place and return the params.
 
-    decisions is the step's list of (tokens, MaskDecision) pairs, one per
-    sample; they all share the one advantage of rewards.reward. buffers is
-    a caller-owned pair (total, grad) of trees shaped like gparams, which
-    the update overwrites.
+    decisions yields (tokens, MaskDecision) pairs of one sequence (L,) or a
+    stack (B, L), and its length counts sequences; all share the advantage
+    of rewards.reward. A pair takes one stacked backward into zeroed
+    per-decision rows, which are scaled and added in decision order into
+    total, a caller-owned tree zeroed here: the float order of one fresh
+    tree per decision. gparams must be the parameters the decisions were
+    sampled under, since their scores are recomputed.
     """
     if not decisions:
         raise ContractViolation("reinforce update needs at least one decision")
     advantage = rewards.reward - baseline.value
     if advantage == 0.0:
         return gparams
-    total, grad = buffers
     total.flat.fill(0.0)
     for tokens, decision in decisions:
-        # each decision's gradient is summed alone before it is scaled into
-        # total, so the float order matches one fresh tree per decision
-        grad.flat.fill(0.0)
-        gnet_logprob_backward(gparams, tokens, decision, grad)
-        ptree.add_scaled(total, grad, advantage)
+        rows = ptree.zeros_stack(gparams, np.shape(tokens)[:-1])
+        gnet_logprob_backward(gparams, tokens, decision, rows)
+        ptree.add_items(total.flat, advantage * rows.flat)
     ptree.add_scaled(gparams, total, lr)
     return gparams
 

@@ -44,9 +44,11 @@ def iter_arrays(tree, prefix: str = ""):
 def _bind(node, flat: np.ndarray, offset: int = 0):
     """(node rebuilt with its arrays as consecutive views of flat from
     offset, the offset after it). No constructor runs and nothing is
-    copied; non-array fields are shared."""
+    copied; non-array fields are shared. Leading axes of flat, (..., size),
+    lead every array too: one tree per index, in its row of flat."""
     if isinstance(node, np.ndarray):
-        return flat[offset:offset + node.size].reshape(node.shape), offset + node.size
+        view = flat[..., offset:offset + node.size].reshape(flat.shape[:-1] + node.shape)
+        return view, offset + node.size
     if isinstance(node, list):
         items = []
         for item in node:
@@ -59,7 +61,7 @@ def _bind(node, flat: np.ndarray, offset: int = 0):
     for f in dataclasses.fields(node):
         value, offset = _bind(getattr(node, f.name), flat, offset)
         setattr(out, f.name, value)
-    out.flat = flat[start:offset]
+    out.flat = flat[..., start:offset]
     return out, offset
 
 
@@ -69,6 +71,11 @@ def copy_tree(tree):
 
 def zeros_like(tree):
     return _bind(tree, np.zeros_like(tree.flat))[0]
+
+
+def zeros_stack(tree, lead: tuple):
+    """Zeroed trees like tree, one per index of lead, as one of flat lead + (size,)."""
+    return _bind(tree, np.zeros(tuple(lead) + tree.flat.shape))[0]
 
 
 def add_scaled(target, source, scale: float = 1.0) -> None:

@@ -4,13 +4,14 @@ and the random regularizer baselines, all under one deterministic harness.
 The adversarial loop follows a fixed cadence. Defender and attacker start
 bit-identical. For T optimizer steps (one "dropout step") both consume the
 same mini-batches: the defender updates on clean forwards, the attacker
-under masks sampled per batch item from the generator, and every sampled
-decision is kept for the generator update. At the window boundary both
-models are scored on T held-out samples drawn without replacement; the win
-sign becomes the reward, the moving-average baseline absorbs it, the
-generator takes one policy-gradient step, the kept decisions are released,
-and both task models are re-synchronized in place to a single source
-sampled with higher probability for the better scorer. Each task model's
+under masks the generator samples per batch item, one call per step, and
+each step's stack of decisions is kept for the generator update. At the
+window boundary both models are scored on T held-out samples drawn
+without replacement; the win sign becomes the reward, the moving-average
+baseline absorbs it, the generator takes one policy-gradient step (one
+stacked backward per step), the kept decisions are released, and both
+task models are re-synchronized in place to a single source sampled with
+higher probability for the better scorer. Each task model's
 buffers are made once: its optimizer state owns its gradient tree and
 moments, a batch clears the tree and sums into it, and the re-sync copies
 the source's parameters and moments into the other side.
@@ -271,13 +272,27 @@ def _update_on_batch(params, batch, lr, opt_state, item_masks=None, skip_blocks=
 # ---------------------------------------------------------------------------
 
 
+class Window:
+    """The open window's decisions, one (tokens (B, L), MaskDecision) stack
+    per step in steps; its length counts decisions and iterating it yields stacks."""
+
+    def __init__(self):
+        self.steps = []
+
+    def __len__(self) -> int:
+        return sum(len(tokens) for tokens, _ in self.steps)
+
+    def __iter__(self):
+        return iter(self.steps)
+
+
 @dataclass
 class AttendOutGame:
-    """decisions holds the open window's (tokens, MaskDecision) pairs;
-    eval_pool is the Dataset each window draws its evaluation rows from;
-    windows_done counts finished windows, one generator update each. The
-    task models and optimizer states are never reassigned; sync writes into them.
-    policy_buffers are the generator update's two gradient trees, made once."""
+    """decisions holds the open window's Window; eval_pool is the Dataset
+    each window draws its evaluation rows from; windows_done counts finished
+    windows, one generator update each. The task models and optimizer
+    states are never reassigned; sync writes into them. policy_total is
+    the generator update's gradient tree, made once."""
 
     defender: TaskModelParams
     attacker: TaskModelParams
@@ -289,14 +304,13 @@ class AttendOutGame:
     policy_rng: RngState
     eval_rng: RngState
     sync_rng: RngState
-    decisions: list = field(default_factory=list)
+    decisions: Window = field(default_factory=Window)
     windows_done: int = 0
     boundary_identical: bool = True
-    policy_buffers: tuple = field(init=False)
+    policy_total: GeneratorParams = field(init=False)
 
     def __post_init__(self):
-        self.policy_buffers = (ptree.zeros_like(self.generator),
-                               ptree.zeros_like(self.generator))
+        self.policy_total = ptree.zeros_like(self.generator)
 
 
 def dropout_step(game: AttendOutGame, stream: BatchStream, cfg: TrainConfig):
@@ -318,16 +332,11 @@ def dropout_step(game: AttendOutGame, stream: BatchStream, cfg: TrainConfig):
         step, epoch, batch = item
         loss_d = _update_on_batch(game.defender, batch, cfg.lr, game.opt_defender)
 
-        step_decisions = [
-            (tokens, gnet_sample_masks(game.generator, tokens, num_layers, game.policy_rng))
-            for tokens in batch.tokens
-        ]
-        item_masks = [[MaskMatrix.from_drop_bits(bits) for bits in decision.masks]
-                      for _, decision in step_decisions]
-        loss_a = _update_on_batch(
-            game.attacker, batch, cfg.lr, game.opt_attacker, item_masks
-        )
-        game.decisions.extend(step_decisions)
+        decision = gnet_sample_masks(game.generator, batch.tokens, num_layers, game.policy_rng)
+        item_masks = [[MaskMatrix.from_drop_bits(bits) for bits in item]
+                      for item in decision.masks]
+        loss_a = _update_on_batch(game.attacker, batch, cfg.lr, game.opt_attacker, item_masks)
+        game.decisions.steps.append((batch.tokens, decision))
 
         rows.append({
             "step": step, "epoch": epoch, "method": cfg.method,
@@ -344,9 +353,9 @@ def dropout_step(game: AttendOutGame, stream: BatchStream, cfg: TrainConfig):
         rewards = compute_rewards(eval_a, eval_d, cfg.reward)
         game.baseline = update_baseline(game.baseline, rewards)
         reinforce_update(game.generator, game.decisions, rewards, game.baseline, cfg.gnet_lr,
-                         game.policy_buffers)
+                         game.policy_total)
 
-        layer_probs = np.mean([d.layer_mean_prob for _, d in game.decisions], axis=0)
+        layer_probs = np.concatenate([d.layer_mean_prob for _, d in game.decisions]).mean(axis=0)
         rows[-1].update({
             "eval_D": eval_d, "eval_A": eval_a,
             "reward_mean": rewards.reward, "baseline": game.baseline.value,
@@ -357,7 +366,7 @@ def dropout_step(game: AttendOutGame, stream: BatchStream, cfg: TrainConfig):
                     eval_d, eval_a, game.sync_rng)
         game.boundary_identical &= ptree.trees_equal(game.defender, game.attacker)
         game.windows_done += 1
-    game.decisions.clear()
+    game.decisions.steps.clear()
     return rows
 
 

@@ -757,23 +757,48 @@ def logprob_score_grads_reference(scores, masks, tau):
             for s, bits in zip(scores, masks)]
 
 
+@dataclass
+class ReferenceDecision:
+    """A decision as the reference sampler returns it: masks (a list of
+    L x L bit matrices), the normalized log probability that the reference
+    backward's stale check compares against, and the mean drop probability
+    per layer. For a (B, L) stack of sequences the fields gain a leading
+    row axis: (B, N, L, L) masks, (B,) log probabilities, (B, N) means."""
+
+    masks: list | np.ndarray
+    logprob: float | np.ndarray
+    layer_mean_prob: np.ndarray
+
+
 def gnet_sample_masks_reference(gparams, tokens, num_layers, rng):
-    """One Gumbel draw, drop fraction and mean drop probability per layer;
-    masks is a list of L x L bit matrices."""
+    """One Gumbel draw and mean drop probability per layer. A (B, L) stack
+    is sampled one row after another, as B calls would."""
+    tokens = np.asarray(tokens, dtype=np.int64)
+    if tokens.ndim == 2:
+        rows = [gnet_sample_masks_reference(gparams, row, num_layers, rng) for row in tokens]
+        return ReferenceDecision(np.stack([np.stack(r.masks) for r in rows]),
+                                 np.array([r.logprob for r in rows]),
+                                 np.stack([r.layer_mean_prob for r in rows]))
     scores, _ = gnet_scores_reference(gparams, tokens, num_layers)
-    masks, fractions, mean_probs = [], [], []
+    masks, mean_probs = [], []
     for s in scores:
         logits = s / gparams.tau
-        bits = gumbel_binary_sample_array(logits, rng)
-        masks.append(bits)
-        fractions.append(float(bits.mean()))
+        masks.append(gumbel_binary_sample_array(logits, rng))
         mean_probs.append(float(sigmoid(logits).mean()))
-    return models.MaskDecision(masks, normalized_logprob_reference(scores, masks, gparams.tau),
-                               np.array(fractions), np.array(mean_probs))
+    return ReferenceDecision(masks, normalized_logprob_reference(scores, masks, gparams.tau),
+                             np.array(mean_probs))
 
 
 def gnet_logprob_backward_reference(gparams, tokens, decision, grads):
-    """The stale check and the per-layer backward, added into grads."""
+    """The stale check and the per-layer backward, added into grads. A (B, L)
+    stack runs one row after another, row b into grads' tree b."""
+    tokens = np.asarray(tokens, dtype=np.int64)
+    if tokens.ndim == 2:
+        for b, row in enumerate(tokens):
+            gnet_logprob_backward_reference(
+                gparams, row, ReferenceDecision(decision.masks[b], decision.logprob[b], None),
+                ptree._bind(gparams, grads.flat[b])[0])
+        return
     scores, caches = gnet_scores_reference(gparams, tokens, len(decision.masks))
     recomputed = normalized_logprob_reference(scores, decision.masks, gparams.tau)
     if abs(recomputed - decision.logprob) > 1e-9:
@@ -783,7 +808,7 @@ def gnet_logprob_backward_reference(gparams, tokens, decision, grads):
     dh = np.zeros(caches[0].x.shape)
     for cache, ds in zip(reversed(caches), reversed(dscores)):
         dh = models.attn_backward(cache, dh, grads.attn, dscores_extra=ds)
-    np.add.at(grads.token_embedding, np.asarray(tokens, dtype=np.int64), dh)
+    np.add.at(grads.token_embedding, tokens, dh)
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,30 @@
 """The stacked path against the per-sequence one, bit for bit.
 
 models.task_forward / task_backward and attention run a chunk of sequences
-as one (B, L, d) stack; conftest keeps the per-sequence path they replaced.
+as one (B, L, d) stack, and the generator samples a step's decisions and
+differentiates them at the window's update the same way; conftest keeps the
+per-sequence path they replaced.
 Every comparison here is exact, on the bytes, so a reordered sum or a
 different BLAS call shows as a failure, not as a tolerance."""
 
 import numpy as np
 import pytest
 
-from attendout import ptree, trainer
+from attendout import policygrad, ptree, trainer
 from attendout.attention import MaskMatrix, MaskMode, MaskStack, attn_backward, attn_forward
 from attendout.config import parse_config_text
-from attendout.models import ModelConfig, init_task_model, task_backward, task_forward
+from attendout.models import (
+    GeneratorConfig,
+    MaskDecision,
+    ModelConfig,
+    gnet_sample_masks,
+    init_generator,
+    init_task_model,
+    task_backward,
+    task_forward,
+)
 from attendout.numkernel import RngState
+from attendout.policygrad import Baseline, compute_rewards, reinforce_update
 from attendout.regularizers import vanilla_attention_mask
 from attendout.tasks import gen_majority_token, split
 from attendout.trainer import BatchStream, evaluate, optimizer_state
@@ -20,6 +32,8 @@ from conftest import (
     attn_backward_sequence,
     attn_forward_sequence,
     evaluate_sequence,
+    gnet_logprob_backward_reference,
+    gnet_sample_masks_reference,
     rand_attention,
     task_backward_sequence,
     task_forward_sequence,
@@ -222,6 +236,127 @@ def test_every_chunk_size_gives_the_per_sequence_bits(chunk, rows):
 
 
 # ---------------------------------------------------------------------------
+# the generator on a stack
+# ---------------------------------------------------------------------------
+
+GEN = GeneratorConfig(vocab_size=PLAIN.vocab_size, dim=16, tau=1.3)
+
+
+def _generator(seed=5):
+    g = init_generator(GEN, seed)
+    # larger weights than the init, so the drop probabilities spread
+    g.flat[...] += RngState(seed).derive("scale").normal_array(g.flat.shape) * 0.3
+    return g
+
+
+def _window_tokens(rows, seed=6):
+    """rows sequences over the vocabulary's ids 1..8 only, so the token
+    embedding rows 0, 9, 10 and 11 get no gradient from any decision."""
+    return 1 + (RngState(seed).derive("tokens").integers(np.full(rows * L, 8))
+                .astype(np.int64).reshape(rows, L))
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("rows", [1, 3, 8])
+def test_one_sampling_call_per_stack_matches_a_call_per_row(rows, layers):
+    g, tokens = _generator(), _window_tokens(rows)
+    rng, ref_rng = RngState(7).derive("policy"), RngState(7).derive("policy")
+    for _ in range(2):
+        d = gnet_sample_masks(g, tokens, layers, rng)
+        refs = [gnet_sample_masks_reference(g, row, layers, ref_rng) for row in tokens]
+        assert _same(d.masks, np.stack([np.stack(r.masks) for r in refs]))
+        assert _same(d.layer_mean_prob, np.stack([r.layer_mean_prob for r in refs]))
+        assert rng.counter == ref_rng.counter
+    assert d.masks.shape == (rows, layers, L, L) and d.masks.any() and not d.masks.all()
+
+
+def _per_decision_update(g, tokens, refs, advantage, lr):
+    """The generator and total after the update by a fresh tree per decision,
+    each scaled into a zeroed total in decision order by add_scaled."""
+    expected, total = ptree.copy_tree(g), ptree.zeros_like(g)
+    for row, ref in zip(tokens, refs):
+        grad = ptree.zeros_like(g)
+        gnet_logprob_backward_reference(g, row, ref, grad)
+        ptree.add_scaled(total, grad, advantage)
+    ptree.add_scaled(expected, total, lr)
+    return expected, total
+
+
+@pytest.mark.parametrize("scores,baseline", [((0.75, 0.5), 0.25), ((0.5, 0.75), 0.25),
+                                             ((0.75, 0.5), 1.0)],
+                         ids=["win", "loss", "zero_advantage"])
+@pytest.mark.parametrize("rows", [1, 3, 8, 20])
+def test_the_window_update_matches_the_per_decision_reference(rows, scores, baseline):
+    # 20 decisions in stacks of `rows` (the last one short unless rows
+    # divides 20): one stacked backward per stack into per-decision rows,
+    # added into a zeroed total in decision order, equals one fresh tree
+    # per decision, to the byte and to the sign of each zero
+    decisions, layers, lr = 20, 2, 0.4
+    g, tokens = _generator(), _window_tokens(decisions)
+    rng = RngState(8).derive("policy")
+    refs = [gnet_sample_masks_reference(g, row, layers, rng) for row in tokens]
+    window = [(tokens[i:i + rows],
+               MaskDecision(np.stack([np.stack(r.masks) for r in refs[i:i + rows]]),
+                            np.stack([r.layer_mean_prob for r in refs[i:i + rows]])))
+              for i in range(0, decisions, rows)]
+    rewards, baseline = compute_rewards(*scores), Baseline(0.9, baseline, True)
+    advantage = rewards.reward - baseline.value
+    expected, expected_total = _per_decision_update(g, tokens, refs, advantage, lr)
+    first = ptree.zeros_like(g)
+    gnet_logprob_backward_reference(g, tokens[0], refs[0], first)
+
+    total = ptree.zeros_like(g)
+    total.flat[...] = np.nan  # whatever the buffer held is overwritten
+    before = g.flat.copy()
+    reinforce_update(g, window, rewards, baseline, lr, total)
+    if advantage == 0.0:
+        assert _same(g.flat, before)
+        return
+    assert _same(g.flat, expected.flat) and not _same(g.flat, before)
+    assert _same(total.flat, expected_total.flat)
+    # the untouched embedding rows: a loss scales their zero gradient to
+    # -0.0, which a sum started from the first scaled row would keep
+    unused = total.token_embedding[[0, 9, 10, 11]]
+    assert np.all(unused == 0.0) and not np.signbit(unused).any()
+    assert np.signbit(advantage * first.token_embedding[0]).all() == (advantage < 0)
+
+
+def test_the_generator_is_unchanged_from_a_windows_first_draw_to_its_update(monkeypatch):
+    # the invariant the per-decision stale check guarded: the update
+    # recomputes the scores, which must be those the bits were drawn under;
+    # and one stacked backward runs per step of a window that moves it
+    cfg = parse_config_text(TINY.format(method="attendout") + "dropout_step = 2\ngnet_lr = 0.5\n")
+    draws, backwards, updates = [], [], []
+    sample, backward, update = (trainer.gnet_sample_masks, policygrad.gnet_logprob_backward,
+                                trainer.reinforce_update)
+
+    def recording_sample(gparams, *args):
+        draws.append(gparams.flat.copy())
+        return sample(gparams, *args)
+
+    def counting_backward(*args):
+        backwards.append(1)
+        return backward(*args)
+
+    def recording_update(gparams, *args):
+        start, calls = gparams.flat.copy(), len(backwards)
+        update(gparams, *args)
+        updates.append((len(draws), start, len(backwards) - calls,
+                        not np.array_equal(gparams.flat, start)))
+
+    monkeypatch.setattr(trainer, "gnet_sample_masks", recording_sample)
+    monkeypatch.setattr(policygrad, "gnet_logprob_backward", counting_backward)
+    monkeypatch.setattr(trainer, "reinforce_update", recording_update)
+    trainer.train(cfg)
+    assert len(updates) == len(draws) // cfg.dropout_step
+    assert sum(moved for *_, moved in updates) >= 2
+    for drawn, start, calls, moved in updates:
+        for flat in draws[drawn - cfg.dropout_step:drawn]:
+            assert _same(flat, start)
+        assert calls == (cfg.dropout_step if moved else 0)
+
+
+# ---------------------------------------------------------------------------
 # whole runs
 # ---------------------------------------------------------------------------
 
@@ -273,6 +408,8 @@ def test_a_tiny_run_matches_the_per_sequence_run(case, rows, monkeypatch):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(trainer, "_update_on_batch", update_on_batch_sequence)
         patch.setattr(trainer, "evaluate", evaluate_sequence)
+        patch.setattr(trainer, "gnet_sample_masks", gnet_sample_masks_reference)
+        patch.setattr(policygrad, "gnet_logprob_backward", gnet_logprob_backward_reference)
         reference = trainer.train(cfg)
     assert result.metrics == reference.metrics
     assert result.mask_trace == reference.mask_trace

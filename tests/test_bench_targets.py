@@ -121,9 +121,14 @@ def test_span_hooks_run_on_weights_mode_training():
 
 
 def test_gumbel_units_count_every_sampled_layer_unit():
-    # one gumbel_binary_sample_array call draws a decision's N layers at
-    # once, so its units counter must still read decisions x N x L^2
-    cfg = parse_config_text(TINY.format(method="attendout") + "dropout_step = 2\ngnet_lr = 0.3\n")
+    # one gnet_sample_masks call and one gumbel_binary_sample_array call
+    # draw a whole step's decisions, so the units counter must still read
+    # decisions x N x L^2, and the update's counter decisions, not steps.
+    # Batches of 7 over 48 rows and two epochs give 14 steps, the epoch's
+    # short batch inside a full window and a partial last window.
+    text = TINY.format(method="attendout").replace("epochs = 1", "epochs = 2")
+    cfg = parse_config_text(text.replace("batch_size = 6", "batch_size = 7")
+                            + "dropout_step = 3\ngnet_lr = 0.3\n")
     spans = _load_spans()
     rec = spans.Recorder("t")
     restore, _ = spans.install(rec)
@@ -136,11 +141,18 @@ def test_gumbel_units_count_every_sampled_layer_unit():
     full = tasks.gen_majority_token(cfg.data_n, cfg.seq_len, cfg.vocab, cfg.seed)
     fractions = (cfg.train_fraction, cfg.dev_fraction, cfg.test_fraction)
     train_ds, _, _ = tasks.split(full, fractions, cfg.seed)
-    decisions = cfg.epochs * len(train_ds)
-    assert calls["models.gnet_sample_masks"] == decisions
-    assert calls["numkernel.gumbel_binary_sample_array"] == decisions
+    n = len(train_ds)
+    step_rows = [min(cfg.batch_size, n - i) for i in range(0, n, cfg.batch_size)] * cfg.epochs
+    decisions = sum(step_rows)
+    windows = len(step_rows) // cfg.dropout_step
+    assert (step_rows, windows) == (([7] * 6 + [6]) * 2, 4)
+    assert calls["models.gnet_sample_masks"] == len(step_rows)
+    assert calls["numkernel.gumbel_binary_sample_array"] == len(step_rows)
     assert (rec.counters["numkernel.gumbel_binary_sample_array.units"]
             == decisions * cfg.layers * cfg.seq_len ** 2)
+    assert calls["policygrad.reinforce_update"] == windows
+    assert (rec.counters["policygrad.reinforce_update.decisions"]
+            == sum(step_rows[:windows * cfg.dropout_step]))
 
 
 @pytest.mark.parametrize("method,section", [

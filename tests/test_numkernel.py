@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from attendout import numkernel as nk
-from attendout.models import _normalized_logprob
-from conftest import gumbel_binary_sample
+from conftest import gumbel_binary_sample, normalized_logprob_reference
 
 
 # ---------------------------------------------------------------------------
@@ -214,22 +213,22 @@ def test_bernoulli_rejects_bad_probability(rng):
 # ---------------------------------------------------------------------------
 
 
-# A decision's log probability is models._normalized_logprob over its
-# layers' sampled bits: the mean per-unit log probability, so the 20 and 50
-# units below are spread over square layers.
+# A decision's log probability is the mean per-unit log probability of its
+# layers' sampled bits (conftest's per-layer form of models.decision_logprob),
+# so the 20 and 50 units below are spread over square layers.
 
 
 def test_gumbel_symmetric_logprob(rng):
     scores = [np.zeros((2, 2))] * 5
     masks = [nk.gumbel_binary_sample_array(s, rng) for s in scores]
-    assert abs(_normalized_logprob(scores, masks, 1.0) - math.log(0.5)) <= 1e-12
+    assert abs(normalized_logprob_reference(scores, masks, 1.0) - math.log(0.5)) <= 1e-12
 
 
 def test_gumbel_saturated_logit(rng):
     scores = [np.full((5, 5), 20.0)] * 2
     masks = [nk.gumbel_binary_sample_array(s, rng) for s in scores]
     assert all(np.all(bits == 1) for bits in masks)
-    assert abs(_normalized_logprob(scores, masks, 1.0)) <= 1e-8
+    assert abs(normalized_logprob_reference(scores, masks, 1.0)) <= 1e-8
 
 
 def test_gumbel_empirical_rate_within_ci():
@@ -244,8 +243,8 @@ def test_gumbel_empirical_rate_within_ci():
 def test_gumbel_branch_logprobs_sum_to_one():
     for logit in (-3.0, -0.5, 0.0, 1.0, 4.0):
         score = [np.array([[logit]])]
-        lp_one = _normalized_logprob(score, [np.ones((1, 1))], 1.0)
-        lp_zero = _normalized_logprob(score, [np.zeros((1, 1))], 1.0)
+        lp_one = normalized_logprob_reference(score, [np.ones((1, 1))], 1.0)
+        lp_zero = normalized_logprob_reference(score, [np.zeros((1, 1))], 1.0)
         assert abs(math.exp(lp_one) + math.exp(lp_zero) - 1.0) <= 1e-12
 
 
@@ -258,7 +257,7 @@ def test_gumbel_scalar_and_array_agree():
             bit, lp = gumbel_binary_sample(logits[i, j], b)
             assert bit == bits_vec[i, j]
             unit = np.s_[i:i + 1, j:j + 1]
-            assert lp == _normalized_logprob([logits[unit]], [bits_vec[unit]], 1.0)
+            assert lp == normalized_logprob_reference([logits[unit]], [bits_vec[unit]], 1.0)
     assert a.counter == b.counter
 
 

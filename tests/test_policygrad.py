@@ -32,7 +32,8 @@ def _toy_generator(seed=11):
 
 
 def _buffers(gparams):
-    return ptree.zeros_like(gparams), ptree.zeros_like(gparams)
+    """The update's caller-owned total tree."""
+    return ptree.zeros_like(gparams)
 
 
 def _random_reward_table(seed=77):
@@ -191,8 +192,7 @@ def test_update_allocates_no_tree_and_ignores_what_its_buffers_held(monkeypatch)
     rewards, baseline = compute_rewards(1.0, 0.0), Baseline(0.9, 0.0, True)
     reinforce_update(fresh, decisions, rewards, baseline, 0.1, _buffers(g))
     used = _buffers(g)
-    for tree in used:
-        tree.flat[...] = 3.0
+    used.flat[...] = 3.0
     calls = []
     zeros_like = ptree.zeros_like
     monkeypatch.setattr(ptree, "zeros_like", lambda tree: calls.append(1) or zeros_like(tree))

@@ -433,12 +433,12 @@ def test_dropout_step_keeps_its_models_and_optimizer_states():
     cfg = _attendout_cfg(seed=2, epochs=1, T=3)
     game, stream = _fresh_game(cfg)
     held = [game.defender, game.attacker, game.opt_defender, game.opt_attacker,
-            *game.policy_buffers]
+            game.policy_total]
     dropout_step(game, stream, cfg)
     assert game.windows_done == 1
     assert all(now is then for now, then in zip(
         [game.defender, game.attacker, game.opt_defender, game.opt_attacker,
-         *game.policy_buffers], held))
+         game.policy_total], held))
 
 
 def test_synced_models_and_optimizer_states_stay_independent():
@@ -460,7 +460,8 @@ def test_synced_models_and_optimizer_states_stay_independent():
 
 @pytest.mark.parametrize("epochs", [1, 3])
 def test_attendout_run_allocates_no_tree_per_step(monkeypatch, epochs):
-    # every tree is made when the game is built, none per step or window
+    # every whole-model tree is made when the game is built, none per step or
+    # window; a window's update only stacks per-decision gradient rows
     calls = _count_tree_allocations(monkeypatch)
     cfg = _attendout_cfg(seed=5, epochs=epochs, T=3)
     game, stream = _fresh_game(cfg)
@@ -468,8 +469,8 @@ def test_attendout_run_allocates_no_tree_per_step(monkeypatch, epochs):
         dropout_step(game, stream, cfg)
     assert game.windows_done == 8 * epochs // 3
     # the attacker's copy, the two optimizer states' gradient trees and the
-    # game's two generator-update buffers
-    assert len(calls) == 5
+    # game's generator-update total
+    assert len(calls) == 4
 
 
 def test_tie_window_after_negative_baseline_moves_generator():
@@ -497,13 +498,13 @@ def test_dropout_step_unit_window_counts():
     assert len(rows) == 1
     assert "eval_D" in rows[0] and "eval_A" in rows[0]
     assert game.windows_done == 1
-    assert game.decisions == []  # released
+    assert not game.decisions  # released
 
 
 def test_dropout_step_requires_fresh_ledger():
     cfg = _attendout_cfg(seed=4, epochs=1, T=2)
     game, stream = _fresh_game(cfg)
-    game.decisions.append(("junk", None))
+    game.decisions.steps.append((np.zeros((1, 4), dtype=np.int64), None))
     with pytest.raises(ContractViolation):
         dropout_step(game, stream, cfg)
 
@@ -516,7 +517,7 @@ def test_dropout_step_partial_window_skips_generator_update():
     assert 0 < len(rows) < 20
     assert game.windows_done == 0
     assert all("eval_D" not in row for row in rows)
-    assert game.decisions == []  # cache still released
+    assert not game.decisions  # cache still released
 
 
 def test_dropout_step_clears_decisions_after_full_and_partial_windows():
@@ -526,7 +527,7 @@ def test_dropout_step_clears_decisions_after_full_and_partial_windows():
     window_sizes = []
     while stream.remaining > 0:
         window_sizes.append(len(dropout_step(game, stream, cfg)))
-        assert game.decisions == []
+        assert not game.decisions
     assert window_sizes == [3, 3, 2]
     assert game.windows_done == 2
 
