@@ -343,11 +343,11 @@ def _sublayer_backward(layer: LayerParams, glayer: LayerParams, block, dx):
     dr2, dg2, db2 = _ln_backward(ln2_cache, layer.ln2_gain, dx)
     ptree.add_items(glayer.ln2_gain, dg2)
     ptree.add_items(glayer.ln2_bias, db2)
-    ptree.add_items(glayer.ff_w2, ff_act.swapaxes(-1, -2) @ dr2)
+    ptree.add_products(glayer.ff_w2, ff_act.swapaxes(-1, -2), dr2)
     ptree.add_items(glayer.ff_b2, dr2.sum(axis=-2))
     dpre = gelu_grad(ff_pre, ff_tanh)
     dpre *= dr2 @ layer.ff_w2.T
-    ptree.add_items(glayer.ff_w1, h1.swapaxes(-1, -2) @ dpre)
+    ptree.add_products(glayer.ff_w1, h1.swapaxes(-1, -2), dpre)
     ptree.add_items(glayer.ff_b1, dpre.sum(axis=-2))
     dh1 = dr2 + dpre @ layer.ff_w1.T
     dr1, dg1, db1 = _ln_backward(ln1_cache, layer.ln1_gain, dh1)

@@ -7,11 +7,16 @@ node's `flat` is its own slice of the root's. Whole-model operations act
 on `flat` alone; only name lookups (checkpoint keys, gradcheck reports,
 the name of a non-finite tensor) walk the fields. Non-array fields
 (hyperparameters, temperatures, the model config) ride along untouched.
+
+`add_products` forms the feed-forward weight gradients, the largest
+per-item stacks, in one reused buffer, so a step does not page them in
+afresh; attention keeps views of its products, so it uses `add_items`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -92,6 +97,20 @@ def add_items(acc: np.ndarray, items: np.ndarray) -> None:
     are the same however the batch is cut into chunks."""
     for item in items.reshape((-1,) + acc.shape):
         acc += item
+
+
+_products = np.empty(0)
+
+
+def add_products(acc: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """add_items(acc, a @ b) for a and b with the same leading axes, formed in
+    the module buffer, which grows to the largest product (not thread-safe)."""
+    global _products
+    shape = a.shape[:-1] + b.shape[-1:]
+    size = math.prod(shape)
+    if _products.size < size:
+        _products = np.empty(size)
+    add_items(acc, np.matmul(a, b, out=_products[:size].reshape(shape)))
 
 
 def flatten(tree) -> np.ndarray:

@@ -191,9 +191,10 @@ class BatchStream:
 # Stacking saves numpy's per-call overhead, but a chunk's caches and
 # temporaries grow with its rows. CHUNK_FLOATS bounds rows * L * (d_model +
 # heads * L), a chunk's floats of activations and attention scores per
-# layer: at the shipped shape 4 rows keep a step's peak memory below that
-# of one row at a time, and 8 rows do not (CHANGES.md has the measurements).
-CHUNK_FLOATS = 2 ** 12
+# layer: a batch of 8 at the shipped shape is one chunk (which faults in no
+# pages, as ptree.add_products reuses one buffer for its largest stacks) and
+# L = 64, d_model = 128 one row (CHANGES.md has the measurements).
+CHUNK_FLOATS = 2 ** 13
 
 
 def chunk_rows(config: ModelConfig, length: int) -> int:

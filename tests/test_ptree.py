@@ -99,6 +99,45 @@ def test_add_scaled_rejects_other_layouts():
 
 
 # ---------------------------------------------------------------------------
+# add_products
+# ---------------------------------------------------------------------------
+
+
+def _assert_products_match_add_items(a, b, acc):
+    expected = acc.copy()
+    ptree.add_items(expected, a @ b)
+    ptree.add_products(acc, a, b)
+    assert acc.tobytes() == expected.tobytes()
+
+
+# (a, b, acc) shapes: the feed-forward weight gradients of an 8-row chunk at
+# the shipped shape (L=16, d=32, ff=64), in a full block and in a last block
+# that keeps position 0 only, one pair with no item axis, and an acc with the
+# stack's leading axes, which takes each item in its own row
+@pytest.mark.parametrize("a_shape,b_shape,acc_shape", [
+    ((8, 64, 16), (8, 16, 32), (64, 32)),
+    ((8, 32, 16), (8, 16, 64), (32, 64)),
+    ((8, 64, 1), (8, 1, 32), (64, 32)),
+    ((64, 16), (16, 32), (64, 32)),
+    ((8, 64, 16), (8, 16, 32), (8, 64, 32)),
+], ids=["ff_w2", "ff_w1", "ff_w2_position_0", "no_item_axis", "one_row_per_item"])
+def test_add_products_matches_add_items(a_shape, b_shape, acc_shape):
+    rng = RngState(17)
+    a, b, acc = (rng.normal_array(shape) for shape in (a_shape, b_shape, acc_shape))
+    _assert_products_match_add_items(a, b, acc)
+
+
+def test_add_products_reuses_its_grown_buffer():
+    rng = RngState(18)
+    _assert_products_match_add_items(rng.normal_array((8, 32, 16)),
+                                     rng.normal_array((8, 16, 64)), rng.normal_array((32, 64)))
+    grown = ptree._products
+    _assert_products_match_add_items(rng.normal_array((3, 32, 16)),
+                                     rng.normal_array((3, 16, 64)), rng.normal_array((32, 64)))
+    assert ptree._products is grown
+
+
+# ---------------------------------------------------------------------------
 # optimizer
 # ---------------------------------------------------------------------------
 

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from attendout import ptree, trainer
 from attendout.attention import AttentionParams, MaskMatrix
-from attendout.config import parse_config_text
+from attendout.config import load_config, model_config, parse_config_text
 from attendout.models import (
     GeneratorParams,
     ModelConfig,
@@ -223,6 +225,55 @@ def test_update_on_batch_rejects_nonfinite_loss_before_the_step(monkeypatch, bad
         trainer._update_on_batch(params, GRAD_BATCH, 0.01, state)
     assert np.array_equal(params.flat, before)
     assert state.t == 0
+
+
+# ---------------------------------------------------------------------------
+# chunk size and a step's memory
+# ---------------------------------------------------------------------------
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SHIPPED_CFG = ModelConfig(vocab_size=12, max_len=16, num_layers=2, d_model=32,
+                          d_ff=64, num_heads=2, num_classes=2)
+
+
+def test_chunk_rows_covers_a_shipped_batch_and_one_row_at_the_wide_shape():
+    for path in sorted(CONFIGS.glob("*.ini")):
+        cfg = load_config(path)
+        assert trainer.chunk_rows(model_config(cfg), cfg.seq_len) >= cfg.batch_size, path.name
+    wide = ModelConfig(vocab_size=12, max_len=64, num_layers=2, d_model=128,
+                       d_ff=256, num_heads=4, num_classes=2)
+    assert trainer.chunk_rows(wide, 64) == 1
+
+
+def _shipped_masks(rng):
+    """SCORES masks for 8 items at L = 16, every layer sampled."""
+    masks = []
+    for _ in range(8):
+        bits = (rng.uniform_array(2 * 16 * 16).reshape(2, 16, 16) < 0.2).astype(np.uint8)
+        bits[..., 0] = 0
+        masks.append([MaskMatrix.from_drop_bits(layer) for layer in bits])
+    return masks
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["clean", "masked"])
+def test_shipped_batch_step_peak_memory(masked):
+    # one 8-row chunk's caches and temporaries; a change that grows them
+    # shows here before it shows in a benchmark's peak RSS
+    params = init_task_model(SHIPPED_CFG, 2)
+    state = optimizer_state(params, "adam")
+    batch = gen_majority_token(8, 16, 12, seed=2)
+    rng = RngState(4)
+    for _ in range(3):
+        trainer._update_on_batch(params, batch, 0.001, state, _shipped_masks(rng) if masked else None)
+    item_masks = _shipped_masks(rng) if masked else None
+    tracemalloc.start()
+    try:
+        trainer._update_on_batch(params, batch, 0.001, state, item_masks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
 
 
 # ---------------------------------------------------------------------------
